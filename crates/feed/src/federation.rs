@@ -3,7 +3,7 @@
 //! ```text
 //!   collector A dir ──┐                        ┌─▶ ingest_record_from(0, ..)
 //!   collector B dir ──┼─ merged (date, hhmm,  ─┤   (first release wins)
-//!   collector C dir ──┘   collector) order      └─▶ corroborate_record(k, ..)
+//!   collector C dir ──┘   collector) order      └─▶ corroborate_at(k, ..)
 //!                                                   (deduped duplicates widen
 //!        │ per-collector FEED_CURSORs                vantage masks only)
 //!        ▼
@@ -26,15 +26,26 @@
 //! ## Cross-collector dedup
 //!
 //! N collectors carrying the same BGP session see the same updates at
-//! slightly different timestamps. Each released record is keyed by
-//! its *content* — every byte of the MRT record except the header
-//! timestamp — and a later identical copy arriving within
+//! slightly different timestamps. Each record is keyed by its
+//! *content* — every raw byte of the MRT record except the header
+//! timestamp — as `FileTailer::frame` hands it over, before
+//! any decode. A later identical copy arriving within
 //! [`FederationConfig::dedup_window_secs`] of the released copy is
-//! suppressed: it does not touch route state (the monitor's Timeline
-//! over N copies of one archive equals the single-collector fold
-//! exactly), but it *does* widen the per-origin vantage mask through
-//! [`moas_monitor::MonitorEngine::corroborate_record`] — the §VI
-//! corroboration signal. A copy skewed *beyond* the window is
+//! suppressed and never decoded: it does not touch route state (the
+//! monitor's Timeline over N copies of one archive equals the
+//! single-collector fold exactly), but it *does* widen the per-origin
+//! vantage mask through
+//! [`moas_monitor::MonitorEngine::corroborate_at`], at the copy's own
+//! header timestamp — the §VI corroboration signal. Only a key miss is
+//! decoded: a decode failure is counted as skipped and never enters
+//! the window; a success is ingested and remembered.
+//!
+//! A window entry holds the released copy's timestamp and, when more
+//! than one collector feeds the engine, a [`moas_monitor::Sighting`]
+//! (the peer session and the announced single-origin
+//! `(prefix, origin)` pairs) — what corroborating a copy needs, not
+//! the record. Entries live until a newly opened file's slot starts
+//! more than two windows past them. A copy skewed *beyond* the window is
 //! re-ingested; the shard state machine is nearly idempotent (a
 //! same-origin re-announce is silent, a duplicate withdraw only bumps
 //! the spurious counter), so even a missed dedup leaves the lifecycle
@@ -64,10 +75,11 @@ use crate::cursor::{CursorStage, FeedCursor};
 use crate::follower::FeedProgress;
 use crate::layout::{scan_layout, FeedFile};
 use crate::status::{FeedGap, FeedStatus};
-use crate::tail::{FileTailer, TailPass};
+use crate::tail::{FileTailer, FramePass};
+use bytes::Bytes;
 use moas_history::HistoryService;
 use moas_monitor::metrics::EngineMetrics;
-use moas_monitor::{MonitorConfig, MonitorEngine, MonitorReport, SeqEvent};
+use moas_monitor::{MonitorConfig, MonitorEngine, MonitorReport, SeqEvent, Sighting};
 use moas_mrt::record::MrtRecord;
 use moas_net::Date;
 use moas_obs::Registry;
@@ -133,23 +145,46 @@ impl FederationConfig {
     }
 }
 
-/// Hashes every byte of the record except the MRT header timestamp
-/// (its first four bytes) — the cross-collector identity of an
-/// update. FNV-1a over the encoding: deterministic across runs, so a
-/// resumed federation rebuilds the identical dedup window.
-fn content_key(record: &MrtRecord) -> u64 {
-    let bytes = record.encode();
+/// Hashes every byte of a framed record except its MRT header
+/// timestamp (the first four bytes) — the cross-collector identity of
+/// an update, computed before (and instead of) decoding it. FNV-1a
+/// over the raw bytes: deterministic across runs, so a resumed
+/// federation rebuilds the identical dedup window.
+fn content_key(frame: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes.get(4..).unwrap_or(&[]) {
+    for &b in frame.get(4..).unwrap_or(&[]) {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
-/// The content-keyed clock-skew window: remembers the timestamp at
-/// which each distinct update was released and suppresses identical
-/// copies arriving within the window.
+/// One released update the window still remembers.
+struct Released {
+    /// Header timestamp of the released copy.
+    ts: u32,
+    /// What a copy corroborates; `None` when there is nothing to
+    /// corroborate: the engine keeps no vantage masks (one collector),
+    /// or the record announces no single-origin prefix.
+    sighting: Option<Box<Sighting>>,
+}
+
+/// What [`DedupWindow::fold`] did with one framed record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Folded {
+    /// Fresh: decoded and ingested.
+    Released,
+    /// An in-window copy of a released update: corroborated only,
+    /// never decoded.
+    Deduped,
+    /// Fresh but undecodable: counted, never remembered.
+    Skipped,
+}
+
+/// The content-keyed clock-skew window: remembers each distinct
+/// released update — its timestamp and what a copy of it
+/// corroborates — and suppresses identical copies arriving within the
+/// window.
 ///
 /// Eviction is keyed to the merge's *file* progress, not to record
 /// arrival: the federation consumes whole files in the global order,
@@ -163,16 +198,20 @@ fn content_key(record: &MrtRecord) -> u64 {
 /// federation replaying that sequence rebuilds the identical window.
 struct DedupWindow {
     window: u32,
-    /// Content key → timestamp of the released copy.
-    seen: HashMap<u64, u32>,
+    /// Whether entries keep a [`Sighting`] (the engine tracks vantage
+    /// masks only with more than one collector).
+    corroborate: bool,
+    /// Content key → the released copy.
+    seen: HashMap<u64, Released>,
     /// Release-ordered entries for eviction.
     order: VecDeque<(u32, u64)>,
 }
 
 impl DedupWindow {
-    fn new(window: u32) -> Self {
+    fn new(window: u32, collectors: usize) -> Self {
         DedupWindow {
             window,
+            corroborate: collectors > 1,
             seen: HashMap::new(),
             order: VecDeque::new(),
         }
@@ -189,31 +228,62 @@ impl DedupWindow {
             if entry_ts >= horizon {
                 break;
             }
-            if self.seen.get(&key) == Some(&entry_ts) {
+            if self.seen.get(&key).is_some_and(|r| r.ts == entry_ts) {
                 self.seen.remove(&key);
             }
             self.order.pop_front();
         }
     }
 
-    /// Whether `record` is fresh (`true`: release it) or an
-    /// already-released update seen from another vantage point within
-    /// the window (`false`: corroborate only).
-    fn admit(&mut self, record: &MrtRecord) -> bool {
-        if self.window == 0 {
-            return true;
-        }
-        let ts = record.timestamp;
-        let key = content_key(record);
-        match self.seen.get(&key) {
-            Some(&released_ts) if ts.abs_diff(released_ts) <= self.window => false,
-            _ => {
-                self.seen.insert(key, ts);
-                self.order.push_back((ts, key));
-                true
+    /// Folds one framed record from `collector` into `engine`. Keys
+    /// the raw bytes first: an already-released update seen within the
+    /// window only corroborates, at the copy's own header timestamp,
+    /// and is never decoded. Anything else is decoded; a record that
+    /// fails to decode is skipped and never enters the window, one
+    /// that decodes is remembered and ingested.
+    fn fold(&mut self, engine: &mut MonitorEngine, collector: u16, frame: &Bytes) -> Folded {
+        let ts = frame_timestamp(frame);
+        let key = (self.window > 0).then(|| content_key(frame));
+        let hit = key.and_then(|key| self.seen.get(&key));
+        if let Some(hit) = hit.filter(|hit| ts.abs_diff(hit.ts) <= self.window) {
+            if let Some(sighting) = &hit.sighting {
+                engine.corroborate_at(collector, sighting, ts);
             }
+            return Folded::Deduped;
         }
+        let Ok(record) = MrtRecord::decode(&mut frame.clone()) else {
+            return Folded::Skipped;
+        };
+        if let Some(key) = key {
+            let sighting = if self.corroborate {
+                Sighting::of(&record)
+                    .filter(|s| !s.announced.is_empty())
+                    .map(Box::new)
+            } else {
+                None
+            };
+            self.seen.insert(key, Released { ts, sighting });
+            self.order.push_back((ts, key));
+        }
+        engine.ingest_record_from(collector, &record);
+        Folded::Released
     }
+}
+
+/// The header timestamp of a framed record (the framer guarantees the
+/// 12-byte header).
+fn frame_timestamp(frame: &[u8]) -> u32 {
+    u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]])
+}
+
+/// Per-pass totals of [`Federation::fold_frames`].
+#[derive(Debug, Default)]
+struct FoldTally {
+    released: u64,
+    deduped: u64,
+    skipped: u64,
+    /// Newest header timestamp among released and deduped records.
+    newest: u64,
 }
 
 /// The nominal update-stream timestamp at which `file`'s slot starts —
@@ -561,7 +631,7 @@ impl Federation {
         ));
 
         let mut fed = Federation {
-            dedup: DedupWindow::new(config.dedup_window_secs),
+            dedup: DedupWindow::new(config.dedup_window_secs, config.collectors.len()),
             engine: Some(engine),
             engine_metrics,
             registry,
@@ -708,7 +778,7 @@ impl Federation {
             replayed_next = replayed_next.max(pos);
 
             let mut tailer = FileTailer::open(&entry.file.path, 0);
-            let pass = tailer.poll()?;
+            let pass = tailer.frame()?;
             if entry.is_target && tailer.consumed() < entry.limit {
                 return Err(bad(format!(
                     "collector {} cursor offset {} of {} exceeds its {} decodable bytes",
@@ -718,18 +788,8 @@ impl Federation {
                     tailer.consumed()
                 )));
             }
-            let collector = self.units[entry.unit].id;
             self.dedup.open_file(slot_head_ts(&entry.file));
-            for (rec, end) in pass.records.iter().zip(&pass.ends) {
-                if *end > entry.limit {
-                    break;
-                }
-                if self.dedup.admit(rec) {
-                    self.engine().ingest_record_from(collector, rec);
-                } else {
-                    self.engine().corroborate_record(collector, rec);
-                }
-            }
+            self.fold_frames(entry.unit, &pass, entry.limit);
             self.engine().drain_events(); // regenerated, already durable
 
             let unit = &mut self.units[entry.unit];
@@ -882,42 +942,51 @@ impl Federation {
         Ok(())
     }
 
-    /// Folds one tail pass from unit `uidx` through the dedup window
-    /// into the engine: fresh records are released (first copy wins),
-    /// identical in-window copies only corroborate.
-    fn ingest_pass(&mut self, uidx: usize, pass: &TailPass, progress: &mut FeedProgress) {
+    /// Folds the frames of one pass from unit `uidx` that end at or
+    /// before file offset `limit` through the dedup window into the
+    /// engine: fresh records are released (first copy wins), identical
+    /// in-window copies only corroborate. The one fold both the live
+    /// path and the sink-disabled replay at open run.
+    fn fold_frames(&mut self, uidx: usize, pass: &FramePass, limit: u64) -> FoldTally {
         let collector = self.units[uidx].id;
-        if !pass.records.is_empty() {
-            let mut newest = 0u64;
-            let mut released = 0u64;
-            let mut deduped = 0u64;
-            for rec in &pass.records {
-                self.units[uidx]
-                    .status
-                    .observe_event_at(rec.timestamp as u64);
-                newest = newest.max(rec.timestamp as u64);
-                if self.dedup.admit(rec) {
-                    self.engine
-                        .as_mut()
-                        .expect("engine present")
-                        .ingest_record_from(collector, rec);
-                    released += 1;
-                } else {
-                    self.engine
-                        .as_mut()
-                        .expect("engine present")
-                        .corroborate_record(collector, rec);
-                    deduped += 1;
+        let engine = self.engine.as_mut().expect("engine present");
+        let mut tally = FoldTally::default();
+        for (frame, &end) in pass.frames.iter().zip(&pass.ends) {
+            if end > limit {
+                break;
+            }
+            match self.dedup.fold(engine, collector, frame) {
+                Folded::Released => tally.released += 1,
+                Folded::Deduped => tally.deduped += 1,
+                Folded::Skipped => {
+                    tally.skipped += 1;
+                    continue;
                 }
             }
-            self.engine_metrics.lag.observe_ingested(newest);
-            self.units[uidx].cursor.records += pass.records.len() as u64;
-            self.status.released.fetch_add(released, Ordering::Relaxed);
-            self.status.deduped.fetch_add(deduped, Ordering::Relaxed);
-            progress.records += released;
+            tally.newest = tally.newest.max(frame_timestamp(frame) as u64);
         }
-        if pass.records_skipped > 0 {
-            self.units[uidx].status.add_skipped(pass.records_skipped);
+        tally
+    }
+
+    /// Folds one live pass from unit `uidx` and books it: status,
+    /// lag, cursor record count, dedup counters.
+    fn ingest_pass(&mut self, uidx: usize, pass: &FramePass, progress: &mut FeedProgress) {
+        let tally = self.fold_frames(uidx, pass, u64::MAX);
+        let folded = tally.released + tally.deduped;
+        if folded > 0 {
+            self.units[uidx].status.observe_event_at(tally.newest);
+            self.engine_metrics.lag.observe_ingested(tally.newest);
+            self.units[uidx].cursor.records += folded;
+            self.status
+                .released
+                .fetch_add(tally.released, Ordering::Relaxed);
+            self.status
+                .deduped
+                .fetch_add(tally.deduped, Ordering::Relaxed);
+            progress.records += tally.released;
+        }
+        if tally.skipped > 0 {
+            self.units[uidx].status.add_skipped(tally.skipped);
         }
         self.bytes_since_checkpoint += pass.bytes_read;
     }
@@ -1036,7 +1105,7 @@ impl Federation {
                     self.persist_cursors()?;
                 }
                 Some((uidx, file, mut tailer)) => {
-                    let pass = tailer.poll()?;
+                    let pass = tailer.frame()?;
                     self.current = Some((uidx, file, tailer));
                     self.ingest_pass(uidx, &pass, &mut progress);
                     let (uidx, file, mut tailer) = self.current.take().expect("just stored");
@@ -1147,18 +1216,20 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moas_bgp::BgpMessage;
+    use moas_monitor::MonitorEvent;
+    use moas_mrt::bgp4mp::Bgp4mpMessage;
+    use moas_mrt::record::MrtBody;
 
-    fn record(ts: u32, prefix: &str, origin: u32) -> MrtRecord {
+    fn announce(peer_as: u32, ts: u32, prefix: &str, origin: u32) -> MrtRecord {
         use moas_bgp::attrs::Attrs;
         use moas_bgp::message::UpdateMsg;
-        use moas_bgp::BgpMessage;
-        use moas_mrt::bgp4mp::{Bgp4mpMessage, PeeringHeader};
-        use moas_mrt::record::MrtBody;
+        use moas_mrt::bgp4mp::PeeringHeader;
         MrtRecord {
             timestamp: ts,
             body: MrtBody::Bgp4mpMessage(Bgp4mpMessage {
                 header: PeeringHeader {
-                    peer_as: moas_net::Asn::new(100),
+                    peer_as: moas_net::Asn::new(peer_as),
                     local_as: moas_net::Asn::new(6447),
                     if_index: 0,
                     peer_addr: "10.0.0.1".parse().unwrap(),
@@ -1167,7 +1238,7 @@ mod tests {
                 message: BgpMessage::Update(UpdateMsg {
                     withdrawn: vec![],
                     attrs: Attrs::announcement(
-                        format!("100 {origin}").parse().unwrap(),
+                        format!("{peer_as} {origin}").parse().unwrap(),
                         std::net::Ipv4Addr::new(10, 0, 0, 1),
                     ),
                     announced: vec![prefix.parse().unwrap()],
@@ -1177,53 +1248,168 @@ mod tests {
         }
     }
 
-    #[test]
-    fn content_key_ignores_timestamp_only() {
-        let a = record(100, "192.0.2.0/24", 7);
-        let b = record(160, "192.0.2.0/24", 7);
-        let c = record(100, "192.0.2.0/24", 9);
-        assert_eq!(content_key(&a), content_key(&b), "skew-only copies match");
-        assert_ne!(
-            content_key(&a),
-            content_key(&c),
-            "different payloads differ"
-        );
+    /// The raw bytes a collector would have written for `ts`.
+    fn frame(ts: u32, prefix: &str, origin: u32) -> Bytes {
+        announce(100, ts, prefix, origin).encode().freeze()
+    }
+
+    /// `frame` with the low bit of byte `at` flipped.
+    fn flipped(frame: &Bytes, at: usize) -> Bytes {
+        let mut raw = frame.to_vec();
+        raw[at] ^= 0x01;
+        Bytes::from(raw)
+    }
+
+    fn decoded(frame: &Bytes) -> Bgp4mpMessage {
+        match MrtRecord::decode(&mut frame.clone())
+            .expect("decodable")
+            .body
+        {
+            MrtBody::Bgp4mpMessage(m) => m,
+            other => panic!("not a BGP4MP message: {other:?}"),
+        }
+    }
+
+    fn engine(collectors: usize) -> MonitorEngine {
+        MonitorEngine::new(MonitorConfig {
+            collectors,
+            ..MonitorConfig::with_shards(1)
+        })
     }
 
     #[test]
-    fn dedup_window_suppresses_in_window_copies_and_evicts() {
-        let mut w = DedupWindow::new(60);
-        w.open_file(1_000);
-        let a = record(1_000, "192.0.2.0/24", 7);
-        assert!(w.admit(&a), "first copy is released");
-        assert!(!w.admit(&record(1_030, "192.0.2.0/24", 7)), "skewed copy");
-        assert!(
-            !w.admit(&record(950, "192.0.2.0/24", 7)),
-            "negatively skewed copy"
+    fn content_key_ignores_the_timestamp_and_nothing_else() {
+        let a = frame(100, "192.0.2.0/24", 7);
+        assert_eq!(
+            content_key(&a),
+            content_key(&frame(160, "192.0.2.0/24", 7)),
+            "skew-only copies match"
         );
-        assert!(
-            w.admit(&record(1_061, "192.0.2.0/24", 7)),
+        let base = decoded(&a);
+        let BgpMessage::Update(base_update) = &base.message else {
+            panic!("an UPDATE");
+        };
+        // The body opens with the peering header (peer AS first) and
+        // ends with the NLRI (length byte + 3 octets of the /24),
+        // right behind the last path attribute.
+        let peer = flipped(&a, 13);
+        let attr = flipped(&a, a.len() - 5);
+        let nlri = flipped(&a, a.len() - 1);
+        assert_ne!(decoded(&peer).header, base.header);
+        let BgpMessage::Update(attr_update) = decoded(&attr).message else {
+            panic!("an UPDATE");
+        };
+        assert_ne!(attr_update.attrs, base_update.attrs);
+        assert_eq!(attr_update.announced, base_update.announced);
+        let BgpMessage::Update(nlri_update) = decoded(&nlri).message else {
+            panic!("an UPDATE");
+        };
+        assert_eq!(nlri_update.attrs, base_update.attrs);
+        assert_ne!(nlri_update.announced, base_update.announced);
+        for (what, f) in [
+            ("peering header", peer),
+            ("attribute", attr),
+            ("NLRI", nlri),
+        ] {
+            assert_ne!(
+                content_key(&f),
+                content_key(&a),
+                "{what} flip must change the key"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_suppresses_in_window_copies_and_evicts() {
+        let mut engine = engine(2);
+        let mut w = DedupWindow::new(60, 2);
+        let mut fold = |w: &mut DedupWindow, ts: u32, prefix: &str| {
+            w.fold(&mut engine, 1, &frame(ts, prefix, 7))
+        };
+        w.open_file(1_000);
+        assert_eq!(fold(&mut w, 1_000, "192.0.2.0/24"), Folded::Released);
+        assert_eq!(fold(&mut w, 1_030, "192.0.2.0/24"), Folded::Deduped);
+        assert_eq!(fold(&mut w, 950, "192.0.2.0/24"), Folded::Deduped);
+        assert_eq!(
+            fold(&mut w, 1_061, "192.0.2.0/24"),
+            Folded::Released,
             "beyond the window the update is a fresh (re-)announcement"
         );
         // A different update is never confused for the first.
-        assert!(w.admit(&record(1_000, "198.51.100.0/24", 7)));
+        assert_eq!(fold(&mut w, 1_000, "198.51.100.0/24"), Folded::Released);
         // Entries survive same-slot file turnover: the next
         // collector's copy is processed a whole file later but still
         // dedups by timestamp skew.
         w.open_file(1_000);
-        assert!(!w.admit(&record(1_090, "192.0.2.0/24", 7)), "next file");
+        assert_eq!(fold(&mut w, 1_090, "192.0.2.0/24"), Folded::Deduped);
         // A file two windows past the entries evicts them; the same
-        // content then admits as a genuine re-announcement.
+        // content then releases as a genuine re-announcement.
         w.open_file(10_000);
         assert!(w.seen.is_empty(), "evicted entries must leave the map");
-        assert!(w.admit(&record(10_000, "192.0.2.0/24", 7)));
+        assert_eq!(fold(&mut w, 10_000, "192.0.2.0/24"), Folded::Released);
     }
 
     #[test]
-    fn zero_window_disables_dedup() {
-        let mut w = DedupWindow::new(0);
-        let a = record(1_000, "192.0.2.0/24", 7);
-        assert!(w.admit(&a));
-        assert!(w.admit(&a), "window 0 never suppresses");
+    fn duplicate_corroborates_at_its_own_timestamp() {
+        let mut engine = engine(2);
+        let mut w = DedupWindow::new(90, 2);
+        w.open_file(1_000);
+        // Two sessions disagree on the origin: a conflict.
+        let released = announce(100, 1_000, "192.0.2.0/24", 7).encode().freeze();
+        let rival = announce(200, 1_000, "192.0.2.0/24", 9).encode().freeze();
+        assert_eq!(w.fold(&mut engine, 0, &released), Folded::Released);
+        assert_eq!(w.fold(&mut engine, 0, &rival), Folded::Released);
+        engine.drain_events();
+        // Collector 1 carries the first update 25 s later.
+        let copy = announce(100, 1_025, "192.0.2.0/24", 7).encode().freeze();
+        assert_eq!(w.fold(&mut engine, 1, &copy), Folded::Deduped);
+        let corroborations: Vec<_> = engine
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                MonitorEvent::OriginCorroborated {
+                    origin, mask, at, ..
+                } => Some((origin.0, mask, at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(corroborations, vec![(7, 0b11, 1_025)]);
+    }
+
+    #[test]
+    fn one_collector_windows_keep_no_sightings() {
+        let mut engine = engine(1);
+        let mut w = DedupWindow::new(90, 1);
+        let a = frame(1_000, "192.0.2.0/24", 7);
+        assert_eq!(w.fold(&mut engine, 0, &a), Folded::Released);
+        assert_eq!(w.fold(&mut engine, 0, &a), Folded::Deduped);
+        assert!(w.seen.values().all(|r| r.sighting.is_none()));
+    }
+
+    #[test]
+    fn undecodable_records_are_skipped_every_time() {
+        let mut engine = engine(2);
+        let mut w = DedupWindow::new(90, 2);
+        // Byte 28 opens the BGP marker, which must be all ones.
+        let bad = flipped(&frame(1_000, "192.0.2.0/24", 7), 28);
+        assert!(MrtRecord::decode(&mut bad.clone()).is_err());
+        for _ in 0..3 {
+            assert_eq!(w.fold(&mut engine, 0, &bad), Folded::Skipped);
+        }
+        assert!(w.seen.is_empty() && w.order.is_empty(), "never remembered");
+    }
+
+    #[test]
+    fn zero_window_releases_every_copy() {
+        let mut engine = engine(2);
+        let mut w = DedupWindow::new(0, 2);
+        let a = frame(1_000, "192.0.2.0/24", 7);
+        assert_eq!(w.fold(&mut engine, 0, &a), Folded::Released);
+        assert_eq!(
+            w.fold(&mut engine, 1, &a),
+            Folded::Released,
+            "window 0 never suppresses"
+        );
+        assert!(w.seen.is_empty());
     }
 }

@@ -3,15 +3,20 @@
 //! A collector writes the current update file in place; the follower
 //! must consume complete records as they land without ever treating
 //! the in-flight tail as corruption. The tailer reads newly appended
-//! bytes into a pending buffer and decodes only *complete* records
+//! bytes behind a pending buffer and frames only *complete* records
 //! out of it: a partial header or body at the end of the buffer is
 //! simply not there yet — the next poll retries. Only when the file
 //! is declared final (a newer file exists) do leftover bytes become a
 //! truncated tail, counted and skipped rather than poisoning the
 //! feed.
 //!
-//! `consumed()` — the byte offset of the last fully decoded record —
-//! is what the durable cursor records, so a restarted follower can
+//! Framing is zero-copy: `FileTailer::frame` returns each complete
+//! record as an undecoded [`Bytes`] view into the one buffer its pass
+//! read, so the federation can key or drop a record before paying for
+//! its decode. [`FileTailer::poll`] decodes every framed record.
+//!
+//! `consumed()` — the byte offset of the last complete record — is
+//! what the durable cursor records, so a restarted follower can
 //! reopen the file and seek straight back to a record boundary.
 
 use bytes::Bytes;
@@ -19,6 +24,19 @@ use moas_mrt::record::{MrtRecord, MAX_RECORD_LEN};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+
+/// What one framing pass over the available bytes produced.
+#[derive(Debug, Default)]
+pub(crate) struct FramePass {
+    /// Complete records — 12-byte MRT header plus body — in file
+    /// order, undecoded. All are views into one buffer per pass.
+    pub(crate) frames: Vec<Bytes>,
+    /// Absolute file offset just past each frame (parallel to
+    /// `frames`).
+    pub(crate) ends: Vec<u64>,
+    /// New bytes read from the file this pass.
+    pub(crate) bytes_read: u64,
+}
 
 /// What one tailing pass over the available bytes produced.
 #[derive(Debug, Default)]
@@ -42,7 +60,7 @@ pub struct TailPass {
 /// An open position in one growing update file.
 pub struct FileTailer {
     path: PathBuf,
-    /// Bytes fully consumed as decoded records (a record boundary).
+    /// Bytes fully consumed as complete records (a record boundary).
     consumed: u64,
     /// Bytes read past `consumed` that do not yet form a record.
     pending: Vec<u8>,
@@ -81,13 +99,13 @@ impl FileTailer {
         self.poisoned
     }
 
-    /// Reads newly appended bytes and decodes every complete record.
-    /// Partial trailing bytes stay pending for the next pass. A file
-    /// shorter than `consumed + pending` (a rewrite or truncation
-    /// underfoot) is reported as `InvalidData` — the cursor cannot be
-    /// trusted against a mutated file.
-    pub fn poll(&mut self) -> io::Result<TailPass> {
-        let mut pass = TailPass::default();
+    /// Reads newly appended bytes and frames every complete record
+    /// without decoding it. Partial trailing bytes stay pending for
+    /// the next pass. A file shorter than `consumed + pending` (a
+    /// rewrite or truncation underfoot) is reported as `InvalidData` —
+    /// the cursor cannot be trusted against a mutated file.
+    pub(crate) fn frame(&mut self) -> io::Result<FramePass> {
+        let mut pass = FramePass::default();
         if self.poisoned {
             return Ok(pass);
         }
@@ -106,43 +124,58 @@ impl FileTailer {
                 ),
             ));
         }
-        if len > read_from {
-            f.seek(SeekFrom::Start(read_from))?;
-            pass.bytes_read = f.read_to_end(&mut self.pending)? as u64;
+        if len == read_from {
+            return Ok(pass);
         }
+        let mut buf = std::mem::take(&mut self.pending);
+        buf.reserve_exact(usize::try_from(len - read_from).unwrap_or(0));
+        f.seek(SeekFrom::Start(read_from))?;
+        pass.bytes_read = f.read_to_end(&mut buf)? as u64;
 
-        // Decode complete records off the front of the pending buffer.
-        let decode_started = std::time::Instant::now();
-        let mut at = 0usize;
-        while self.pending.len() - at >= 12 {
-            let head = &self.pending[at..at + 12];
-            let body_len = u32::from_be_bytes([head[8], head[9], head[10], head[11]]) as usize;
-            if body_len as u32 > MAX_RECORD_LEN {
+        // Split complete records off the front of the buffer.
+        let mut rest = Bytes::from(buf);
+        let mut at = 0u64;
+        while rest.len() >= 12 {
+            let body_len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]);
+            if body_len > MAX_RECORD_LEN {
                 // Resynchronization is impossible without a trustable
                 // length; abandon the rest of this file (counted, not
                 // fatal to the feed).
                 self.poisoned = true;
                 break;
             }
-            let total = 12 + body_len;
-            if self.pending.len() - at < total {
+            let total = 12 + body_len as usize;
+            if rest.len() < total {
                 break; // record still in flight
             }
-            let mut record_bytes = Bytes::from(self.pending[at..at + total].to_vec());
-            at += total;
-            match MrtRecord::decode(&mut record_bytes) {
+            pass.frames.push(rest.split_to(total));
+            at += total as u64;
+            pass.ends.push(self.consumed + at);
+        }
+        self.consumed += at;
+        self.pending = rest.to_vec();
+        Ok(pass)
+    }
+
+    /// Reads newly appended bytes and decodes every complete record
+    /// (`FileTailer::frame`, then a decode per frame).
+    pub fn poll(&mut self) -> io::Result<TailPass> {
+        let framed = self.frame()?;
+        let decode_started = std::time::Instant::now();
+        let mut pass = TailPass {
+            bytes_read: framed.bytes_read,
+            ..TailPass::default()
+        };
+        for (mut frame, end) in framed.frames.into_iter().zip(framed.ends) {
+            match MrtRecord::decode(&mut frame) {
                 Ok(rec) => {
                     pass.records.push(rec);
-                    pass.ends.push(self.consumed + at as u64);
+                    pass.ends.push(end);
                 }
                 Err(_) => pass.records_skipped += 1,
             }
         }
         pass.decode_micros = decode_started.elapsed().as_micros() as u64;
-        if at > 0 {
-            self.pending.drain(..at);
-            self.consumed += at as u64;
-        }
         Ok(pass)
     }
 
@@ -225,6 +258,33 @@ mod tests {
         assert_eq!(tailer.consumed(), bytes.len() as u64);
         assert_eq!(tailer.pending_bytes(), 0);
         assert_eq!(tailer.finalize(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frames_are_undecoded_views_into_one_buffer() {
+        let dir = std::env::temp_dir().join(format!("moas-feed-tail4-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("updates.20010101.0000.mrt");
+        let encoded: Vec<_> = (0..3).map(|ts| record(ts).encode()).collect();
+        let bytes: Vec<u8> = encoded.iter().flat_map(|e| e.to_vec()).collect();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+
+        let mut tailer = FileTailer::open(&path, 0);
+        let pass = tailer.frame().unwrap();
+        assert_eq!(pass.frames.len(), 2, "the cut third record stays pending");
+        let one = encoded[0].len() as u64;
+        assert_eq!(pass.ends, vec![one, 2 * one]);
+        assert_eq!(&pass.frames[0][..], &encoded[0][..]);
+        assert_eq!(&pass.frames[1][..], &encoded[1][..]);
+        assert_eq!(
+            pass.frames[0].as_ptr_range().end,
+            pass.frames[1].as_ptr(),
+            "adjacent frames view one buffer"
+        );
+        assert_eq!(tailer.consumed(), 2 * one);
+        assert_eq!(tailer.pending_bytes(), one - 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,16 +13,53 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::query::{MoasSnapshot, MonitorReport};
 use crate::shard::{run_shard, DaySlice, ShardMsg, ShardOutput, ShardSnapshot};
 use crate::state::{RouteUpdate, SessionKey, UpdateAction};
+use moas_bgp::BgpMessage;
 use moas_bgp::TableSnapshot;
 use moas_core::detector::{Anomaly, OriginProfiler, ProfilerConfig};
 use moas_core::replay::{record_instructions, RouteInstruction};
-use moas_mrt::record::MrtRecord;
-use moas_net::{Asn, Date, Prefix};
+use moas_mrt::record::{MrtBody, MrtRecord};
+use moas_net::{Asn, Date, Origin, Prefix};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+
+/// What a copy of one MRT record corroborates: its peer session and
+/// every announced `(prefix, origin)` pair whose AS path ends in a
+/// single origin — the announce instructions of
+/// [`moas_core::replay::record_instructions`] with a
+/// [`moas_net::Origin::Single`] origin, without building their routes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sighting {
+    /// The peer session the record belongs to.
+    pub session: SessionKey,
+    /// Announced prefixes with their single origin.
+    pub announced: Vec<(Prefix, Asn)>,
+}
+
+impl Sighting {
+    /// The sighting `record` carries; `None` for anything that is not
+    /// a BGP4MP UPDATE.
+    pub fn of(record: &MrtRecord) -> Option<Sighting> {
+        let MrtBody::Bgp4mpMessage(m) = &record.body else {
+            return None;
+        };
+        let BgpMessage::Update(u) = &m.message else {
+            return None;
+        };
+        let announced = match u.attrs.as_path.as_ref().map(|p| p.origin()) {
+            Some(Origin::Single(origin)) => {
+                u.all_announced().into_iter().map(|p| (p, origin)).collect()
+            }
+            _ => Vec::new(),
+        };
+        Some(Sighting {
+            session: (m.header.peer_addr, m.header.peer_as),
+            announced,
+        })
+    }
+}
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -255,22 +292,23 @@ impl MonitorEngine {
     /// batch channel, so per-prefix ordering against real updates is
     /// preserved.
     pub fn corroborate_record(&mut self, collector: u16, record: &MrtRecord) {
-        let Some((session, instructions)) = record_instructions(record) else {
-            return;
-        };
-        let session: SessionKey = session;
-        for instruction in instructions {
-            if let RouteInstruction::Announce { prefix, route } = instruction {
-                if let moas_net::Origin::Single(origin) = route.path.origin() {
-                    self.route(RouteUpdate {
-                        session,
-                        prefix,
-                        action: UpdateAction::Corroborate(origin),
-                        at: record.timestamp,
-                        collector,
-                    });
-                }
-            }
+        if let Some(sighting) = Sighting::of(record) {
+            self.corroborate_at(collector, &sighting, record.timestamp);
+        }
+    }
+
+    /// [`MonitorEngine::corroborate_record`] for a copy that was never
+    /// decoded: `collector` saw, at its own timestamp `at`, the update
+    /// `sighting` was taken from.
+    pub fn corroborate_at(&mut self, collector: u16, sighting: &Sighting, at: u32) {
+        for &(prefix, origin) in &sighting.announced {
+            self.route(RouteUpdate {
+                session: sighting.session,
+                prefix,
+                action: UpdateAction::Corroborate(origin),
+                at,
+                collector,
+            });
         }
     }
 
@@ -394,5 +432,65 @@ impl MonitorEngine {
             spurious_withdrawals: spurious,
             metrics: self.metrics.snapshot(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moas_bgp::attrs::Attrs;
+    use moas_bgp::message::UpdateMsg;
+    use moas_mrt::bgp4mp::{Bgp4mpMessage, PeeringHeader};
+
+    fn update(path: &str, announced: &[&str], withdrawn: &[&str]) -> MrtRecord {
+        MrtRecord {
+            timestamp: 1_000,
+            body: MrtBody::Bgp4mpMessage(Bgp4mpMessage {
+                header: PeeringHeader {
+                    peer_as: Asn::new(701),
+                    local_as: Asn::new(6447),
+                    if_index: 0,
+                    peer_addr: "10.0.0.1".parse().unwrap(),
+                    local_addr: "10.0.0.2".parse().unwrap(),
+                },
+                message: BgpMessage::Update(UpdateMsg {
+                    withdrawn: withdrawn.iter().map(|p| p.parse().unwrap()).collect(),
+                    attrs: Attrs::announcement(
+                        path.parse().unwrap(),
+                        std::net::Ipv4Addr::new(10, 0, 0, 1),
+                    ),
+                    announced: announced.iter().map(|p| p.parse().unwrap()).collect(),
+                }),
+                as4: false,
+            }),
+        }
+    }
+
+    #[test]
+    fn sighting_is_the_single_origin_announce_instructions() {
+        let records = [
+            update(
+                "701 7",
+                &["192.0.2.0/24", "198.51.100.0/24"],
+                &["203.0.113.0/24"],
+            ),
+            update("701 {7,9}", &["192.0.2.0/24"], &[]),
+            update("701 7", &[], &["192.0.2.0/24"]),
+        ];
+        for rec in &records {
+            let (session, instructions) = record_instructions(rec).unwrap();
+            let announced: Vec<(Prefix, Asn)> = instructions
+                .into_iter()
+                .filter_map(|i| match i {
+                    RouteInstruction::Announce { prefix, route } => match route.path.origin() {
+                        Origin::Single(origin) => Some((prefix, origin)),
+                        _ => None,
+                    },
+                    RouteInstruction::Withdraw { .. } => None,
+                })
+                .collect();
+            assert_eq!(Sighting::of(rec), Some(Sighting { session, announced }));
+        }
+        assert_eq!(Sighting::of(&records[0]).unwrap().announced.len(), 2);
     }
 }

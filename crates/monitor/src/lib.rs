@@ -55,7 +55,7 @@ pub mod query;
 pub mod shard;
 pub mod state;
 
-pub use engine::{MonitorConfig, MonitorEngine};
+pub use engine::{MonitorConfig, MonitorEngine, Sighting};
 pub use event::{MonitorEvent, SeqEvent};
 pub use metrics::MetricsSnapshot;
 pub use query::{fold_events_into_timeline, MoasSnapshot, MonitorReport};

@@ -58,42 +58,44 @@ impl<R: Read> MrtReader<R> {
         self.fatal.as_ref()
     }
 
-    /// Reads exactly `n` bytes, or returns `Ok(None)` on clean EOF at
-    /// the first byte; a partial read is a truncated tail.
-    fn read_exact_or_eof(&mut self, n: usize) -> Result<Option<Vec<u8>>, io::Error> {
-        let mut buf = vec![0u8; n];
+    /// Fills `buf`, or returns `Ok(false)` at end of stream; a
+    /// partial fill is a truncated tail.
+    fn read_exact_or_eof(&mut self, buf: &mut [u8]) -> Result<bool, io::Error> {
         let mut filled = 0;
-        while filled < n {
+        while filled < buf.len() {
             match self.inner.read(&mut buf[filled..]) {
                 Ok(0) => {
-                    if filled == 0 {
-                        return Ok(None);
+                    if filled > 0 {
+                        self.stats.truncated_tail = true;
                     }
-                    self.stats.truncated_tail = true;
-                    return Ok(None);
+                    return Ok(false);
                 }
                 Ok(k) => filled += k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        self.stats.bytes_read += n as u64;
-        Ok(Some(buf))
+        self.stats.bytes_read += buf.len() as u64;
+        Ok(true)
     }
 
     /// Reads the next well-formed record, skipping damaged ones.
     /// Returns `None` at end of stream or on a fatal I/O error
     /// (inspect [`MrtReader::fatal_error`] to distinguish).
+    ///
+    /// The header lands on the stack and the body straight behind a
+    /// copy of it in the one buffer the decoder views.
     pub fn next_record(&mut self) -> Option<MrtRecord> {
         loop {
-            let header = match self.read_exact_or_eof(12) {
-                Ok(Some(h)) => h,
-                Ok(None) => return None,
+            let mut header = [0u8; 12];
+            match self.read_exact_or_eof(&mut header) {
+                Ok(true) => {}
+                Ok(false) => return None,
                 Err(e) => {
                     self.fatal = Some(MrtError::Io(e));
                     return None;
                 }
-            };
+            }
             let len = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
             if len > MAX_RECORD_LEN {
                 // Cannot trust the length field; resynchronization is
@@ -101,9 +103,11 @@ impl<R: Read> MrtReader<R> {
                 self.fatal = Some(MrtError::OversizedRecord(len));
                 return None;
             }
-            let body = match self.read_exact_or_eof(len as usize) {
-                Ok(Some(b)) => b,
-                Ok(None) => {
+            let mut record_bytes = vec![0u8; 12 + len as usize];
+            record_bytes[..12].copy_from_slice(&header);
+            match self.read_exact_or_eof(&mut record_bytes[12..]) {
+                Ok(true) => {}
+                Ok(false) => {
                     self.stats.truncated_tail = true;
                     return None;
                 }
@@ -111,10 +115,7 @@ impl<R: Read> MrtReader<R> {
                     self.fatal = Some(MrtError::Io(e));
                     return None;
                 }
-            };
-            let mut record_bytes = Vec::with_capacity(12 + body.len());
-            record_bytes.extend_from_slice(&header);
-            record_bytes.extend_from_slice(&body);
+            }
             let mut buf = Bytes::from(record_bytes);
             match MrtRecord::decode(&mut buf) {
                 Ok(rec) => {

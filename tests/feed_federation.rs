@@ -21,6 +21,12 @@
 //!   by a federation in place: resume starts at the exact kill point,
 //!   nothing replays into the log twice, and the cursor is rewritten
 //!   in the v2 format.
+//! * **Multi-collector kill/resume:** three skewed collectors, killed
+//!   after collector 0 delivered a slot but before collectors 1–2 sent
+//!   their copies of it. The resumed federation rebuilds the raw-keyed
+//!   dedup window by replay, so the late copies dedup exactly as in an
+//!   uninterrupted run: same counters, cursors and served
+//!   corroboration.
 //! * **Permutation invariance (property):** the final per-origin
 //!   vantage masks do not depend on the order collectors report the
 //!   same sightings in.
@@ -114,6 +120,33 @@ fn batch_reference(study: &Study, dates: &[Date], name: &str) -> (usize, Vec<u32
     let total = tl.total_conflicts();
     std::fs::remove_dir_all(&dir).ok();
     (total, durations)
+}
+
+/// The prefixes in conflict on some day of the window, sorted — from
+/// the batch fold.
+fn conflicted_prefixes(study: &Study, dates: &[Date], name: &str) -> Vec<Prefix> {
+    let dir = fresh(name);
+    let files = {
+        let mut collector = Collector::new(&study.world, &study.peers);
+        write_window_archive(&mut collector, &dir, 0, DAYS, BACKGROUND, DumpFormat::V2).unwrap()
+    };
+    let (tl, _) = analyze_mrt_archive(dates.to_vec(), DAYS, &files).unwrap();
+    let mut conflicted: Vec<Prefix> = tl
+        .prefixes()
+        .iter()
+        .filter(|(_, r)| r.core_days > 0)
+        .map(|(p, _)| *p)
+        .collect();
+    conflicted.sort();
+    std::fs::remove_dir_all(&dir).ok();
+    conflicted
+}
+
+fn v4(p: &Prefix) -> Ipv4Prefix {
+    match p {
+        Prefix::V4(v) => *v,
+        other => panic!("study prefixes are v4, got {other}"),
+    }
 }
 
 fn assert_history_matches_batch(
@@ -391,32 +424,12 @@ fn partial_visibility_serves_corroboration_oracle() {
     // The conflicted prefix set, from the batch fold, picks the
     // hidden sets: conflicted[0] hidden from b, conflicted[1] hidden
     // from both b and c, conflicted[2] hidden from c.
-    let conflicted: Vec<Prefix> = {
-        let dir = fresh("vis-ribs-oracle");
-        let files = {
-            let mut collector = Collector::new(&study.world, &study.peers);
-            write_window_archive(&mut collector, &dir, 0, DAYS, BACKGROUND, DumpFormat::V2).unwrap()
-        };
-        let (tl, _) = analyze_mrt_archive(dates.clone(), DAYS, &files).unwrap();
-        let mut conflicted: Vec<Prefix> = tl
-            .prefixes()
-            .iter()
-            .filter(|(_, r)| r.core_days > 0)
-            .map(|(p, _)| *p)
-            .collect();
-        conflicted.sort();
-        std::fs::remove_dir_all(&dir).ok();
-        conflicted
-    };
+    let conflicted = conflicted_prefixes(&study, &dates, "vis-ribs-oracle");
     assert!(
         conflicted.len() >= 4,
         "need at least 4 conflicted prefixes, got {}",
         conflicted.len()
     );
-    let v4 = |p: &Prefix| match p {
-        Prefix::V4(v) => *v,
-        other => panic!("study prefixes are v4, got {other}"),
-    };
     let hidden_b: Vec<Ipv4Prefix> = vec![v4(&conflicted[0]), v4(&conflicted[1])];
     let hidden_c: Vec<Ipv4Prefix> = vec![v4(&conflicted[1]), v4(&conflicted[2])];
     let oracle = |p: &Prefix| -> u32 {
@@ -780,6 +793,214 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
     close_service(service);
     std::fs::remove_dir_all(&archive).ok();
     std::fs::remove_dir_all(&store).ok();
+}
+
+/// What a federated store serves and counts, for comparing two runs.
+#[derive(Debug, PartialEq)]
+struct FederatedOutcome {
+    released: u64,
+    deduped: u64,
+    cursors: Vec<FeedCursor>,
+    /// `/v1/conflicts?date=&corroboration=1` per window day, without
+    /// the `epoch` stamp (a resumed run publishes extra epochs).
+    conflicts: Vec<Value>,
+}
+
+fn federation_config(dates: &[Date], dirs: &[PathBuf]) -> FederationConfig {
+    let mut config = FederationConfig {
+        monitor: MonitorConfig::with_shards(SHARDS),
+        checkpoint_bytes: 1,
+        ..FederationConfig::new(dates[0])
+    };
+    for (name, dir) in ["a", "b", "c"].iter().zip(dirs) {
+        config = config.collector(*name, dir);
+    }
+    config
+}
+
+/// Finalizes `fed` and collects its counters, cursors and served
+/// conflicts; shuts it down.
+fn finish_federation(
+    mut fed: Federation,
+    service: &Arc<HistoryService>,
+    dates: &[Date],
+) -> FederatedOutcome {
+    fed.finalize().unwrap();
+    let query = Arc::new(QueryService::new(service.reader(), ServerConfig::default()));
+    let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
+    let conflicts = dates
+        .iter()
+        .map(|date| {
+            let (code, body) = get_json(
+                server.local_addr(),
+                &format!("/v1/conflicts?date={date}&corroboration=1"),
+            );
+            assert_eq!(code, 200);
+            match body {
+                Value::Object(fields) => {
+                    Value::Object(fields.into_iter().filter(|(k, _)| k != "epoch").collect())
+                }
+                other => panic!("conflicts body is an object: {other:?}"),
+            }
+        })
+        .collect();
+    server.shutdown();
+    drop(query);
+    let status = fed.status();
+    let (released, deduped) = (status.released(), status.deduped());
+    let (cursors, _) = fed.shutdown().unwrap();
+    FederatedOutcome {
+        released,
+        deduped,
+        cursors,
+        conflicts,
+    }
+}
+
+/// Three skewed collectors, killed after collector 0 delivered day
+/// `KILL`'s file but before collectors 1–2 sent their copies of it.
+/// Replay at reopen must rebuild the raw-keyed dedup window, so those
+/// late copies dedup against collector 0's released copy exactly as in
+/// an uninterrupted run.
+#[test]
+fn multi_collector_kill_resume_equals_uninterrupted_run() {
+    const KILL: usize = 5;
+    let study = Study::build(StudyConfig::test(0.004));
+    let dates = window_dates(&study);
+    let batch = batch_reference(&study, &dates, "kill-ribs");
+    let conflicted = conflicted_prefixes(&study, &dates, "kill-ribs-oracle");
+    assert!(conflicted.len() >= 2, "need conflicted prefixes to hide");
+
+    // The full archive; the killed run sees it land day by day.
+    let base = fresh("kill-archives");
+    let dirs = {
+        let mut collector = Collector::new(&study.world, &study.peers);
+        let mut sim = SimFederation::new(
+            &mut collector,
+            &base,
+            0,
+            DAYS,
+            BACKGROUND,
+            vec![
+                SimCollectorSpec::new("a"),
+                SimCollectorSpec::new("b")
+                    .skewed(25)
+                    .hiding(&[v4(&conflicted[0])]),
+                SimCollectorSpec::new("c")
+                    .skewed(-35)
+                    .hiding(&[v4(&conflicted[1])]),
+            ],
+        )
+        .unwrap();
+        assert_eq!(sim.write_all().unwrap(), DAYS);
+        sim.dirs()
+    };
+    let day_files: Vec<Vec<PathBuf>> = dirs
+        .iter()
+        .map(|dir| {
+            let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            assert_eq!(files.len(), DAYS, "one file per collector and day");
+            files
+        })
+        .collect();
+
+    // Reference: one uninterrupted federation over the whole archive.
+    let ref_store = fresh("kill-ref-store");
+    let ref_service = Arc::new(HistoryService::open(&ref_store, service_config(dates[0])).unwrap());
+    let mut fed =
+        Federation::open(federation_config(&dates, &dirs), Arc::clone(&ref_service)).unwrap();
+    catch_up_fed(&mut fed);
+    let reference = finish_federation(fed, &ref_service, &dates);
+    assert_history_matches_batch(
+        &ref_service,
+        &dates,
+        &batch,
+        "reference federation vs batch",
+    );
+    assert!(reference.deduped > 0, "the skewed copies must dedup");
+    let reference_fingerprints = conflict_fingerprints(&ref_service);
+    close_service(ref_service);
+
+    let live = fresh("kill-live");
+    let live_dirs: Vec<PathBuf> = ["a", "b", "c"].iter().map(|n| live.join(n)).collect();
+    let land = |collector: usize, day: usize| {
+        let src = &day_files[collector][day];
+        std::fs::create_dir_all(&live_dirs[collector]).unwrap();
+        std::fs::copy(src, live_dirs[collector].join(src.file_name().unwrap())).unwrap();
+    };
+
+    // First life: every collector through day KILL-1, plus collector
+    // 0's day KILL — fully consumed and checkpointed, but still the
+    // in-flight head. Collectors b and c have opened their day-KILL
+    // files (which closes their day KILL-1) but written nothing yet.
+    for day in 0..KILL {
+        for collector in 0..3 {
+            land(collector, day);
+        }
+    }
+    land(0, KILL);
+    for collector in 1..3 {
+        let name = day_files[collector][KILL].file_name().unwrap();
+        std::fs::File::create(live_dirs[collector].join(name)).unwrap();
+    }
+    let store = fresh("kill-store");
+    let (released, deduped) = {
+        let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
+        let mut fed =
+            Federation::open(federation_config(&dates, &live_dirs), Arc::clone(&service)).unwrap();
+        catch_up_fed(&mut fed);
+        let name = |collector: usize, day: usize| {
+            let path = &day_files[collector][day];
+            path.file_name().unwrap().to_str().unwrap().to_string()
+        };
+        let cursors = fed.cursors();
+        assert_eq!(cursors[0].file, name(0, KILL));
+        assert_eq!(
+            cursors[0].offset,
+            std::fs::metadata(&day_files[0][KILL]).unwrap().len(),
+            "collector 0's slot is durably consumed"
+        );
+        for (collector, cursor) in cursors.iter().enumerate().skip(1) {
+            assert_eq!(cursor.file, name(collector, KILL - 1));
+        }
+        let status = fed.status();
+        let counts = (status.released(), status.deduped());
+        drop(fed); // killed: no shutdown, no further checkpoint
+        counts
+    };
+
+    // The late copies are written, then the rest of the window lands;
+    // a new federation resumes over the same store.
+    for collector in 1..3 {
+        land(collector, KILL);
+    }
+    for day in KILL + 1..DAYS {
+        for collector in 0..3 {
+            land(collector, day);
+        }
+    }
+    let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
+    let mut fed =
+        Federation::open(federation_config(&dates, &live_dirs), Arc::clone(&service)).unwrap();
+    catch_up_fed(&mut fed);
+    let mut resumed = finish_federation(fed, &service, &dates);
+    resumed.released += released;
+    resumed.deduped += deduped;
+    assert_eq!(
+        resumed, reference,
+        "kill/resume must equal the uninterrupted run"
+    );
+    assert_eq!(conflict_fingerprints(&service), reference_fingerprints);
+    assert_history_matches_batch(&service, &dates, &batch, "resumed federation vs batch");
+
+    close_service(service);
+    for dir in [&base, &live, &store, &ref_store] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 /// Property: the final per-origin vantage masks — and so the served
