@@ -1,5 +1,5 @@
 //! Full-scale probe: headline numbers plus the duration-heuristic
-//! scores quoted in EXPERIMENTS.md.
+//! scores.
 
 use moas_core::causes::score_duration_heuristic;
 use moas_lab::study::{Study, StudyConfig};

@@ -367,10 +367,11 @@ fn next_cursor(body: &[u8]) -> Option<String> {
 }
 
 /// Feed: catch-up throughput (files/s over a pre-rendered simulated
-/// collector window) and end-to-end update lag (a freshly landed
-/// update file → the previous day's epoch published to readers).
+/// collector window, through a one-collector `Federation`) and
+/// end-to-end update lag (a freshly landed update file → the previous
+/// day's epoch published to readers).
 fn bench_feed() -> std::io::Result<Vec<(&'static str, f64)>> {
-    use moas_feed::{FeedConfig, FeedFollower};
+    use moas_feed::{Federation, FederationConfig};
     use moas_monitor::MonitorConfig;
     use moas_routeviews::SimFeed;
 
@@ -395,8 +396,15 @@ fn bench_feed() -> std::io::Result<Vec<(&'static str, f64)>> {
     for _ in 0..CATCHUP_DAYS {
         total_records += sim.append_day()?.expect("day in window").records as u64;
     }
+    let feed_config = || {
+        FederationConfig {
+            monitor: MonitorConfig::with_shards(4),
+            ..FederationConfig::new(start)
+        }
+        .collector("route-views", &archive)
+    };
 
-    // Catch-up: best files/s over fresh follower+store runs.
+    // Catch-up: best files/s over fresh feed+store runs.
     let mut best_files_per_sec = 0f64;
     for _ in 0..REPS {
         std::fs::remove_dir_all(&store).ok();
@@ -408,16 +416,12 @@ fn bench_feed() -> std::io::Result<Vec<(&'static str, f64)>> {
                 ..ServiceConfig::default()
             },
         )?);
-        let config = FeedConfig {
-            monitor: MonitorConfig::with_shards(4),
-            ..FeedConfig::new(archive.clone(), start)
-        };
         let t0 = Instant::now();
-        let mut follower = FeedFollower::open(config, Arc::clone(&service))?;
-        while !follower.poll_once()?.caught_up {}
+        let mut feed = Federation::open(feed_config(), Arc::clone(&service))?;
+        while !feed.poll_once()?.caught_up {}
         let secs = t0.elapsed().as_secs_f64();
         best_files_per_sec = best_files_per_sec.max(CATCHUP_DAYS as f64 / secs);
-        follower.shutdown()?;
+        feed.shutdown()?;
         drop(service);
     }
 
@@ -432,12 +436,8 @@ fn bench_feed() -> std::io::Result<Vec<(&'static str, f64)>> {
             ..ServiceConfig::default()
         },
     )?);
-    let config = FeedConfig {
-        monitor: MonitorConfig::with_shards(4),
-        ..FeedConfig::new(archive.clone(), start)
-    };
-    let mut follower = FeedFollower::open(config, Arc::clone(&service))?;
-    while !follower.poll_once()?.caught_up {}
+    let mut feed = Federation::open(feed_config(), Arc::clone(&service))?;
+    while !feed.poll_once()?.caught_up {}
     let reader = service.reader();
     let mut best_lag_ms = f64::MAX;
     for _ in 0..LAG_DAYS {
@@ -445,11 +445,11 @@ fn bench_feed() -> std::io::Result<Vec<(&'static str, f64)>> {
         let t0 = Instant::now();
         sim.append_day()?.expect("lag day in window");
         while reader.epoch() == epoch {
-            follower.poll_once()?;
+            feed.poll_once()?;
         }
         best_lag_ms = best_lag_ms.min(t0.elapsed().as_secs_f64() * 1_000.0);
     }
-    follower.shutdown()?;
+    feed.shutdown()?;
     drop(service);
     std::fs::remove_dir_all(&archive).ok();
     std::fs::remove_dir_all(&store).ok();

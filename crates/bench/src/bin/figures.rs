@@ -595,6 +595,6 @@ fn detector(study: &Study) {
     }
     println!(
         "(the paper's §VII conclusion — duration alone cannot validate conflicts — is\n\
-         quantified by the duration-heuristic scores in EXPERIMENTS.md)"
+         quantified by the duration-heuristic scores moas-bench's full_probe example prints)"
     );
 }

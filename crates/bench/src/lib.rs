@@ -1,7 +1,7 @@
 //! # moas-bench — benchmark harness and figures binary
 //!
 //! * `src/bin/figures.rs` — regenerates every table and figure of the
-//!   paper from a full study run (see EXPERIMENTS.md).
+//!   paper from a full study run.
 //! * `benches/` — Criterion benchmarks: one per pipeline stage and per
 //!   figure, plus the ablation benches DESIGN.md calls out.
 //!

@@ -32,8 +32,8 @@
 //! * [`pipeline`] — drives a whole study window through the analysis,
 //!   serially or sharded across scoped threads, from in-memory
 //!   snapshots or from MRT archives on disk.
-//! * [`report`] — text tables, CSV and JSON artifacts for
-//!   EXPERIMENTS.md.
+//! * [`report`] — text tables, CSV and JSON artifacts for the
+//!   `figures` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

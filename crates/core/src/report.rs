@@ -1,5 +1,5 @@
 //! Rendering: aligned text tables, CSV, JSON, and ASCII charts for the
-//! figures harness and EXPERIMENTS.md artifacts.
+//! figures harness.
 
 use serde::Serialize;
 use std::fmt::Write as _;

@@ -213,7 +213,8 @@ pub fn fig6_class_series(tl: &Timeline, from: Date, to: Date) -> Vec<Fig6Point> 
         .collect()
 }
 
-/// Aggregate class shares over a date range (for EXPERIMENTS.md).
+/// Aggregate class shares over a date range (for the `figures`
+/// binary's reports).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ClassShares {
     /// Mean daily OrigTranAS count.

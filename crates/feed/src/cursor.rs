@@ -1,17 +1,19 @@
-//! The durable feed cursor: `(file, byte offset)` plus progress
-//! counters, persisted next to the history store's `MANIFEST`.
+//! The durable feed cursor: one per collector, `(file, byte offset)`
+//! plus progress counters, persisted next to the history store's
+//! `MANIFEST`.
 //!
-//! The cursor is the feed's whole restart contract. It is only ever
-//! written *after* the events covering its position are durable in
-//! the history log (a [`moas_history::HistoryService::checkpoint`] or
-//! day mark sealed them), and it is swapped atomically
-//! (`FEED_CURSOR.tmp` + rename), so at any crash point the disk holds
-//! a cursor that is *at or behind* the durable log — never ahead of
-//! it. A restarted follower replays the archive up to the cursor to
+//! The cursors are the feed's whole restart contract. They are only
+//! ever written *after* the events covering their positions are
+//! durable in the history log (a
+//! [`moas_history::HistoryService::checkpoint`] or day mark sealed
+//! them), and they are swapped atomically (`FEED_CURSOR.tmp` +
+//! rename), so at any crash point the disk holds cursors that are *at
+//! or behind* the durable log — never ahead of it. A restarted
+//! [`crate::Federation`] replays the archives up to the cursors to
 //! rebuild monitor state without re-appending, then resumes at the
 //! exact byte offset; the narrow window where the log is ahead of the
 //! cursor (crash between seal and rename) is closed by per-shard
-//! sequence watermarks (see `follower.rs`).
+//! sequence watermarks (see the `federation` module docs).
 
 use moas_history::codec::crc32;
 use std::io;
@@ -20,14 +22,15 @@ use std::path::Path;
 /// File name of the cursor, in the history store directory.
 pub const CURSOR_NAME: &str = "FEED_CURSOR";
 const CURSOR_MAGIC: &str = "MFCUR001";
-/// Version-2 magic: the federated format, carrying the collector id.
-/// Version 1 is still parsed (and adopted as collector 0's position —
-/// the in-place upgrade path); a federation always rewrites v2.
+/// Version-2 magic: the current format, carrying the collector id.
+/// Version 1 (written by releases with a separate single-collector
+/// driver) is still parsed and adopted as collector 0's position — the
+/// in-place upgrade path; cursors are always rewritten as v2.
 const CURSOR_MAGIC_V2: &str = "MFCUR002";
 
 /// File name of collector `id`'s cursor: collector 0 keeps the
-/// legacy `FEED_CURSOR` name (so a v1 single-follower cursor is
-/// adopted in place on upgrade), others append their id.
+/// legacy `FEED_CURSOR` name (so a v1 cursor is adopted in place on
+/// upgrade), others append their id.
 pub fn cursor_name(id: u32) -> String {
     if id == 0 {
         CURSOR_NAME.to_string()
@@ -36,7 +39,7 @@ pub fn cursor_name(id: u32) -> String {
     }
 }
 
-/// A follower's durable position in the collector archive.
+/// A collector's durable position in its archive.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FeedCursor {
     /// Update-file name currently being consumed (empty before the
@@ -56,32 +59,18 @@ pub struct FeedCursor {
     pub records: u64,
     /// Monitor shard count the events were generated with. Shard
     /// routing and per-shard sequence numbers depend on it, so a
-    /// resumed follower must run the same count — a mismatch is
+    /// resumed feed must run the same count — a mismatch is
     /// refused rather than silently double-counting.
     pub shards: u32,
-    /// Collector id this cursor belongs to (0 for the legacy single
-    /// follower; only rendered in the v2 format).
+    /// Collector id this cursor belongs to (a v1 cursor is always
+    /// collector 0's).
     pub collector: u32,
 }
 
 impl FeedCursor {
-    /// Serializes to the single-line on-disk format, CRC-trailed.
-    fn render(&self) -> String {
-        let payload = format!(
-            "{CURSOR_MAGIC} file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
-            if self.file.is_empty() { "-" } else { &self.file },
-            self.offset,
-            self.next_day,
-            self.files_done,
-            self.gaps,
-            self.records,
-            self.shards,
-        );
-        format!("{payload} crc={:08x}\n", crc32(payload.as_bytes()))
-    }
-
-    /// Serializes to the version-2 format — the v1 line plus the
-    /// `collector=` field under the `MFCUR002` magic.
+    /// Serializes to the single-line, CRC-trailed version-2 format —
+    /// the v1 line plus the `collector=` field under the `MFCUR002`
+    /// magic.
     fn render_v2(&self) -> String {
         let payload = format!(
             "{CURSOR_MAGIC_V2} collector={} file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
@@ -98,8 +87,8 @@ impl FeedCursor {
     }
 
     /// Parses either on-disk format, verifying magic and CRC.
-    /// Returns the cursor and whether it was the v1 (pre-federation)
-    /// format — what tells a federation to migrate it.
+    /// Returns the cursor and whether it was the v1 format — what
+    /// tells the feed to migrate it.
     fn parse(text: &str) -> Result<(FeedCursor, bool), String> {
         let line = text.trim_end();
         let (payload, crc_field) = line
@@ -142,21 +131,10 @@ impl FeedCursor {
         Ok((cursor, v1))
     }
 
-    /// Persists atomically: write `FEED_CURSOR.tmp`, fsync, rename.
-    /// The legacy single-follower path — always the v1 format.
-    pub fn persist(&self, dir: &Path) -> io::Result<()> {
-        let tmp = dir.join(format!("{CURSOR_NAME}.tmp"));
-        std::fs::write(&tmp, self.render())?;
-        let f = std::fs::File::open(&tmp)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, dir.join(CURSOR_NAME))
-    }
-
     /// Stage one v2 cursor for an atomic multi-cursor swap: the tmp
     /// file is written and fsynced, but not yet renamed into place.
-    /// A federation stages every collector's cursor first and only
-    /// then commits them all — no rename happens until every write
+    /// The feed stages every collector's cursor first and only then
+    /// commits them all — no rename happens until every write
     /// has safely hit disk.
     pub fn stage_v2(&self, dir: &Path) -> io::Result<CursorStage> {
         let name = cursor_name(self.collector);
@@ -171,19 +149,14 @@ impl FeedCursor {
         })
     }
 
-    /// Loads the cursor if one exists. `Ok(None)` when no cursor was
-    /// ever persisted (a fresh follower); a corrupt cursor is an
-    /// error — resuming from a guessed position could double-count,
-    /// so the caller must decide (typically: fail loudly).
-    pub fn load(dir: &Path) -> io::Result<Option<FeedCursor>> {
-        FeedCursor::load_for(dir, 0).map(|found| found.map(|(cursor, _)| cursor))
-    }
-
     /// Loads collector `id`'s cursor if one exists, reporting whether
-    /// it was the pre-federation v1 format (only possible for
-    /// collector 0, whose file name is shared with the legacy
-    /// follower). A v2 cursor recorded for a different collector id
-    /// is refused — the store was laid out for another topology.
+    /// it was the v1 format (only possible for collector 0, whose file
+    /// name is the legacy one). `Ok(None)` when no cursor was ever
+    /// persisted (a fresh feed); a corrupt cursor is an error —
+    /// resuming from a guessed position could double-count, so the
+    /// caller must fail loudly. A v2 cursor recorded for a different
+    /// collector id is refused — the store was laid out for another
+    /// topology.
     pub fn load_for(dir: &Path, id: u32) -> io::Result<Option<(FeedCursor, bool)>> {
         let path = dir.join(cursor_name(id));
         let bad =
@@ -235,10 +208,31 @@ mod tests {
         dir
     }
 
+    fn persist(cursor: &FeedCursor, dir: &Path) {
+        cursor.stage_v2(dir).unwrap().commit().unwrap();
+    }
+
+    /// The v1 line a release with the separate single-collector driver
+    /// wrote.
+    fn write_v1(cursor: &FeedCursor, dir: &Path) {
+        let payload = format!(
+            "{CURSOR_MAGIC} file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
+            cursor.file,
+            cursor.offset,
+            cursor.next_day,
+            cursor.files_done,
+            cursor.gaps,
+            cursor.records,
+            cursor.shards,
+        );
+        let line = format!("{payload} crc={:08x}\n", crc32(payload.as_bytes()));
+        std::fs::write(dir.join(CURSOR_NAME), line).unwrap();
+    }
+
     #[test]
     fn roundtrips_and_survives_reload() {
         let dir = tmpdir("roundtrip");
-        assert_eq!(FeedCursor::load(&dir).unwrap(), None);
+        assert_eq!(FeedCursor::load_for(&dir, 0).unwrap(), None);
         let cursor = FeedCursor {
             file: "updates.20010101.0000.mrt".into(),
             offset: 4_242,
@@ -249,15 +243,18 @@ mod tests {
             shards: 4,
             collector: 0,
         };
-        cursor.persist(&dir).unwrap();
-        assert_eq!(FeedCursor::load(&dir).unwrap(), Some(cursor.clone()));
+        persist(&cursor, &dir);
+        assert_eq!(
+            FeedCursor::load_for(&dir, 0).unwrap(),
+            Some((cursor.clone(), false))
+        );
         // Overwrite is atomic and total.
         let later = FeedCursor {
             offset: 9_000,
             ..cursor
         };
-        later.persist(&dir).unwrap();
-        assert_eq!(FeedCursor::load(&dir).unwrap(), Some(later));
+        persist(&later, &dir);
+        assert_eq!(FeedCursor::load_for(&dir, 0).unwrap(), Some((later, false)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -274,7 +271,7 @@ mod tests {
             shards: 4,
             collector: 2,
         };
-        cursor.stage_v2(&dir).unwrap().commit().unwrap();
+        persist(&cursor, &dir);
         assert_eq!(
             FeedCursor::load_for(&dir, 2).unwrap(),
             Some((cursor.clone(), false))
@@ -287,29 +284,29 @@ mod tests {
         // A v1 cursor at the legacy name is adopted as collector 0's
         // (and flagged for migration); rewriting it lands as v2.
         cursor.collector = 0;
-        cursor.persist(&dir).unwrap();
+        write_v1(&cursor, &dir);
         let (loaded, was_v1) = FeedCursor::load_for(&dir, 0).unwrap().unwrap();
         assert!(was_v1);
         assert_eq!(loaded, cursor);
-        loaded.stage_v2(&dir).unwrap().commit().unwrap();
+        persist(&loaded, &dir);
         let (migrated, was_v1) = FeedCursor::load_for(&dir, 0).unwrap().unwrap();
         assert!(!was_v1, "rewrite must land in the v2 format");
         assert_eq!(migrated, cursor);
-        // The legacy loader still reads the v2 file (same position).
-        assert_eq!(FeedCursor::load(&dir).unwrap(), Some(cursor));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_cursor_is_an_error_not_a_guess() {
         let dir = tmpdir("corrupt");
-        let cursor = FeedCursor::default();
-        cursor.persist(&dir).unwrap();
+        persist(&FeedCursor::default(), &dir);
         let path = dir.join(CURSOR_NAME);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text = text.replace("offset=0", "offset=7");
         std::fs::write(&path, text).unwrap();
-        assert!(FeedCursor::load(&dir).is_err(), "crc must catch the edit");
+        assert!(
+            FeedCursor::load_for(&dir, 0).is_err(),
+            "crc must catch the edit"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,20 +1,23 @@
-//! Federated ingest: N collector archives, one monitor, one history.
+//! The feed driver: N ≥ 1 collector archives, one monitor, one
+//! history.
 //!
 //! ```text
 //!   collector A dir ──┐                        ┌─▶ ingest_record_from(0, ..)
 //!   collector B dir ──┼─ merged (date, hhmm,  ─┤   (first release wins)
 //!   collector C dir ──┘   collector) order      └─▶ corroborate_at(k, ..)
-//!                                                   (deduped duplicates widen
-//!        │ per-collector FEED_CURSORs                vantage masks only)
+//!        │ FileTailer (byte offset)                (deduped duplicates widen
+//!        │ per-collector FEED_CURSORs               vantage masks only)
 //!        ▼
-//!   one MonitorEngine ──▶ one HistoryService ──▶ epochs advance once
+//!   one MonitorEngine ──▶ drain_events ──▶ one HistoryService
+//!        │ day complete / checkpoint          (watermark-filtered)
+//!        ▼
+//!   engine.mark_day + service.mark_day ──▶ epochs advance once
 //! ```
 //!
-//! The [`Federation`] coordinator owns what the single
-//! [`crate::FeedFollower`] owns — the engine, the service sink, the
-//! durable cursors — but drives N per-collector scanning units
-//! instead of one. The design center is *determinism*: every record
-//! the federation releases is released in the *global order*
+//! A single-collector deployment is a [`Federation`] of one: the
+//! engine then keeps no vantage masks and the dedup window is never
+//! consulted. The design center is *determinism*: every record the
+//! feed releases is released in the *global order*
 //! `(date, hhmm, collector id, file name)`, with exactly one file in
 //! flight across the whole federation at any time. That single
 //! merged order is a pure function of the per-collector cursor set,
@@ -23,43 +26,91 @@
 //! merged order**, sink disabled, rebuilding the monitor state, the
 //! vantage masks, and the dedup window byte-for-byte.
 //!
+//! ## Durability protocol
+//!
+//! Cursors are only persisted after the events covering them are
+//! sealed (`HistoryService::checkpoint` or a day mark), so on disk
+//! they are always *at or behind* the durable log. A restart rebuilds
+//! monitor state by replaying the archives up to the cursors with the
+//! sink disabled (deterministic: same records, same shard routing,
+//! same per-shard sequence numbers), then resumes at the exact byte
+//! offset. The narrow crash window where the log holds events
+//! *beyond* the cursors (crash between seal and cursor rename) is
+//! closed by per-shard sequence watermarks taken from the durable
+//! tail at open: any regenerated event at or below the watermark is
+//! already on disk and is suppressed rather than appended twice. The
+//! one case this cannot cover — that window *plus* a compaction that
+//! already folded the very segment into the table before the crash —
+//! is pathological (the daemon is woken by day marks, not
+//! checkpoints) and documented as at-least-once.
+//!
+//! ## Feed pathologies
+//!
+//! * **In-flight files** are tailed record-by-record; a partial
+//!   record at the end of the newest file simply waits for bytes.
+//! * **Out-of-order arrival** within a polling window is absorbed by
+//!   timestamp-ordered selection; a file arriving after its collector
+//!   has advanced past its slot is counted `late` and ignored (the
+//!   history cannot rewind).
+//! * **Truncated uploads**: once a newer file exists, leftover bytes
+//!   in the older file are a truncated tail — counted, skipped,
+//!   never poisoning the feed.
+//! * **Gaps**: a day a collector delivered no file for is surfaced as
+//!   a [`FeedGap`] under that collector's name, the day is still
+//!   marked through the engine and service (conflicts stay open
+//!   across it), and it is tallied in `/v1/feed` — §VI longevity
+//!   statistics can see exactly which days were never observed.
+//!
 //! ## Cross-collector dedup
 //!
 //! N collectors carrying the same BGP session see the same updates at
 //! slightly different timestamps. Each record is keyed by its
 //! *content* — every raw byte of the MRT record except the header
 //! timestamp — as `FileTailer::frame` hands it over, before
-//! any decode. A later identical copy arriving within
-//! [`FederationConfig::dedup_window_secs`] of the released copy is
+//! any decode. A later identical copy from a collector not yet counted
+//! for the released update, arriving within
+//! [`FederationConfig::dedup_window_secs`] of the released copy, is
 //! suppressed and never decoded: it does not touch route state (the
 //! monitor's Timeline over N copies of one archive equals the
 //! single-collector fold exactly), but it *does* widen the per-origin
 //! vantage mask through
 //! [`moas_monitor::MonitorEngine::corroborate_at`], at the copy's own
-//! header timestamp — the §VI corroboration signal. Only a key miss is
-//! decoded: a decode failure is counted as skipped and never enters
-//! the window; a success is ingested and remembered.
+//! header timestamp — the §VI corroboration signal. A repeat from a
+//! collector already counted is that session re-announcing (announce,
+//! withdraw, re-announce with the same attributes): it is released
+//! and starts a new window entry. Only released records are decoded:
+//! a decode failure is counted as skipped and never enters the window;
+//! a success is ingested and remembered.
 //!
-//! A window entry holds the released copy's timestamp and, when more
-//! than one collector feeds the engine, a [`moas_monitor::Sighting`]
-//! (the peer session and the announced single-origin
-//! `(prefix, origin)` pairs) — what corroborating a copy needs, not
-//! the record. Entries live until a newly opened file's slot starts
-//! more than two windows past them. A copy skewed *beyond* the window is
-//! re-ingested; the shard state machine is nearly idempotent (a
-//! same-origin re-announce is silent, a duplicate withdraw only bumps
-//! the spurious counter), so even a missed dedup leaves the lifecycle
-//! event stream unchanged.
+//! A window entry holds the released copy's timestamp, the collectors
+//! counted for it, and a [`moas_monitor::Sighting`] (the peer session
+//! and the announced single-origin `(prefix, origin)` pairs) — what
+//! corroborating a copy needs, not the record. Entries live until a
+//! newly opened file's slot starts more than two windows past them. A
+//! copy skewed *beyond* the window is re-ingested; the shard state
+//! machine is nearly idempotent (a same-origin re-announce is silent,
+//! a duplicate withdraw only bumps the spurious counter), so even a
+//! missed dedup leaves the lifecycle event stream unchanged.
 //!
 //! ## Cursor migration
 //!
-//! Collector 0's cursor keeps the legacy `FEED_CURSOR` file name. A
-//! pre-federation v1 cursor found there is adopted as collector 0's
-//! position (byte-for-byte: the resumed tail continues at the exact
-//! offset) and rewritten in the v2 format at the next checkpoint;
-//! collectors 1..N persist `FEED_CURSOR.<id>`. All cursors are staged
-//! (written + fsynced) before any is renamed into place, and only
-//! after the history service sealed the events they cover.
+//! Collector 0's cursor keeps the legacy `FEED_CURSOR` file name. A v1
+//! cursor found there (written by releases that had a separate
+//! single-collector driver) is adopted as collector 0's position
+//! (byte-for-byte: the resumed tail continues at the exact offset)
+//! and rewritten in the v2 format at the next checkpoint; collectors
+//! 1..N persist `FEED_CURSOR.<id>`. All cursors are staged (written +
+//! fsynced) before any is renamed into place, and only after the
+//! history service sealed the events they cover.
+//!
+//! ## Observability
+//!
+//! Each [`Federation::poll_once`] opens a `feed_poll` root span and
+//! publishes it as the tracer's ambient ingest context, so the tail
+//! (`feed_tail`), decode (`mrt_decode`), shard-apply, append, seal and
+//! epoch-publish stages of that pass attach to one trace. The same
+//! stages land on the `moas_stage_duration_us` histograms. Both are
+//! per-poll and per-pass clock reads, never per-record.
 //!
 //! ## The stall barrier
 //!
@@ -67,14 +118,15 @@
 //! oldest unconsumed slot: a collector whose in-flight head stops
 //! growing blocks the merge. That is deliberate — the healthy
 //! collectors' lag gauges (`moas_feed_lag_seconds{collector=...}`)
-//! climb, `/readyz` trips on the *max* across collectors, and the
-//! operator sees exactly which vantage point stalled instead of a
-//! silently de-corroborated view.
+//! climb, the unlabelled `moas_feed_lag_seconds` (the max across
+//! collectors, which the `feed_lag` alert watches) climbs with them,
+//! `/readyz` trips on the same max, and the operator sees exactly
+//! which vantage point stalled instead of a silently de-corroborated
+//! view.
 
 use crate::cursor::{CursorStage, FeedCursor};
-use crate::follower::FeedProgress;
 use crate::layout::{scan_layout, FeedFile};
-use crate::status::{FeedGap, FeedStatus};
+use crate::status::{FeedGap, FeedStatus, LAG_HELP};
 use crate::tail::{FileTailer, FramePass};
 use bytes::Bytes;
 use moas_history::HistoryService;
@@ -82,13 +134,14 @@ use moas_monitor::metrics::EngineMetrics;
 use moas_monitor::{MonitorConfig, MonitorEngine, MonitorReport, SeqEvent, Sighting};
 use moas_mrt::record::MrtRecord;
 use moas_net::Date;
-use moas_obs::Registry;
+use moas_obs::{Gauge, Histogram, Registry};
 use serde::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One collector archive the federation follows.
 #[derive(Debug, Clone)]
@@ -117,9 +170,11 @@ pub struct FederationConfig {
     /// been consumed since the last checkpoint (0 = only at file/day
     /// boundaries).
     pub checkpoint_bytes: u64,
-    /// Two identical records whose timestamps differ by at most this
-    /// many seconds are one update seen from two vantage points — the
-    /// collector clock-skew allowance. 0 disables dedup entirely.
+    /// Two identical records from different collectors whose
+    /// timestamps differ by at most this many seconds are one update
+    /// seen from two vantage points — the collector clock-skew
+    /// allowance. 0 disables dedup entirely, and so does a single
+    /// collector (nothing can be a copy).
     pub dedup_window_secs: u32,
 }
 
@@ -159,13 +214,31 @@ fn content_key(frame: &[u8]) -> u64 {
     h
 }
 
+/// What one [`Federation::poll_once`] pass did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FeedProgress {
+    /// Update files fully consumed this pass.
+    pub files_closed: u64,
+    /// Day marks issued this pass (real and gap days).
+    pub days_marked: u64,
+    /// Gap days detected this pass, summed over collectors.
+    pub gaps: u64,
+    /// MRT records released to the engine this pass.
+    pub records: u64,
+    /// Whether the feed has consumed everything discovered.
+    pub caught_up: bool,
+}
+
 /// One released update the window still remembers.
 struct Released {
     /// Header timestamp of the released copy.
     ts: u32,
-    /// What a copy corroborates; `None` when there is nothing to
-    /// corroborate: the engine keeps no vantage masks (one collector),
-    /// or the record announces no single-origin prefix.
+    /// Collectors counted for this update (bit `k` = collector `k`):
+    /// the releasing one, then every collector whose copy deduped. A
+    /// repeat from a counted collector is not a copy.
+    collectors: u64,
+    /// What a copy corroborates; `None` when the record announces no
+    /// single-origin prefix.
     sighting: Option<Box<Sighting>>,
 }
 
@@ -182,9 +255,9 @@ enum Folded {
 }
 
 /// The content-keyed clock-skew window: remembers each distinct
-/// released update — its timestamp and what a copy of it
-/// corroborates — and suppresses identical copies arriving within the
-/// window.
+/// released update — its timestamp, the collectors counted for it,
+/// and what a copy of it corroborates — and suppresses identical
+/// copies from other collectors arriving within the window.
 ///
 /// Eviction is keyed to the merge's *file* progress, not to record
 /// arrival: the federation consumes whole files in the global order,
@@ -198,9 +271,9 @@ enum Folded {
 /// federation replaying that sequence rebuilds the identical window.
 struct DedupWindow {
     window: u32,
-    /// Whether entries keep a [`Sighting`] (the engine tracks vantage
-    /// masks only with more than one collector).
-    corroborate: bool,
+    /// Whether records are keyed at all: only with a non-zero window
+    /// and more than one collector can a record be a copy.
+    keyed: bool,
     /// Content key → the released copy.
     seen: HashMap<u64, Released>,
     /// Release-ordered entries for eviction.
@@ -211,7 +284,7 @@ impl DedupWindow {
     fn new(window: u32, collectors: usize) -> Self {
         DedupWindow {
             window,
-            corroborate: collectors > 1,
+            keyed: window > 0 && collectors > 1,
             seen: HashMap::new(),
             order: VecDeque::new(),
         }
@@ -237,15 +310,21 @@ impl DedupWindow {
 
     /// Folds one framed record from `collector` into `engine`. Keys
     /// the raw bytes first: an already-released update seen within the
-    /// window only corroborates, at the copy's own header timestamp,
-    /// and is never decoded. Anything else is decoded; a record that
-    /// fails to decode is skipped and never enters the window, one
-    /// that decodes is remembered and ingested.
+    /// window from a collector not yet counted for it only
+    /// corroborates, at the copy's own header timestamp, and is never
+    /// decoded. Anything else is decoded; a record that fails to
+    /// decode is skipped and never enters the window, one that decodes
+    /// is remembered (replacing a stale or same-collector entry) and
+    /// ingested.
     fn fold(&mut self, engine: &mut MonitorEngine, collector: u16, frame: &Bytes) -> Folded {
         let ts = frame_timestamp(frame);
-        let key = (self.window > 0).then(|| content_key(frame));
-        let hit = key.and_then(|key| self.seen.get(&key));
-        if let Some(hit) = hit.filter(|hit| ts.abs_diff(hit.ts) <= self.window) {
+        let bit = 1u64 << collector;
+        let key = self.keyed.then(|| content_key(frame));
+        let hit = key.and_then(|key| self.seen.get_mut(&key));
+        if let Some(hit) =
+            hit.filter(|hit| ts.abs_diff(hit.ts) <= self.window && hit.collectors & bit == 0)
+        {
+            hit.collectors |= bit;
             if let Some(sighting) = &hit.sighting {
                 engine.corroborate_at(collector, sighting, ts);
             }
@@ -255,14 +334,17 @@ impl DedupWindow {
             return Folded::Skipped;
         };
         if let Some(key) = key {
-            let sighting = if self.corroborate {
-                Sighting::of(&record)
-                    .filter(|s| !s.announced.is_empty())
-                    .map(Box::new)
-            } else {
-                None
-            };
-            self.seen.insert(key, Released { ts, sighting });
+            let sighting = Sighting::of(&record)
+                .filter(|s| !s.announced.is_empty())
+                .map(Box::new);
+            self.seen.insert(
+                key,
+                Released {
+                    ts,
+                    collectors: bit,
+                    sighting,
+                },
+            );
             self.order.push_back((ts, key));
         }
         engine.ingest_record_from(collector, &record);
@@ -286,15 +368,8 @@ struct FoldTally {
     newest: u64,
 }
 
-/// The nominal update-stream timestamp at which `file`'s slot starts —
-/// the dedup window's eviction clock.
-fn slot_head_ts(file: &FeedFile) -> u32 {
-    moas_mrt::snapshot::midnight_timestamp(file.date)
-        .saturating_add((file.hhmm / 100) as u32 * 3_600 + (file.hhmm % 100) as u32 * 60)
-}
-
-/// Per-collector scanning state: the [`crate::FeedFollower`]'s
-/// discovery half, without an engine or sink of its own.
+/// Per-collector scanning state: discovery, cursor and status, without
+/// an engine or sink of its own.
 struct CollectorUnit {
     id: u16,
     name: String,
@@ -345,10 +420,7 @@ impl CollectorUnit {
     fn newest_ts(&self) -> u64 {
         self.layout
             .iter()
-            .map(|f| {
-                let days = f.date.day_index().0.max(0) as u64;
-                days * 86_400 + (f.hhmm as u64 / 100) * 3_600 + (f.hhmm as u64 % 100) * 60
-            })
+            .map(|f| f.slot_head_ts() as u64)
             .max()
             .unwrap_or(0)
     }
@@ -376,12 +448,16 @@ pub struct FederationStatus {
     suppressed: AtomicU64,
     gaps: Mutex<Vec<(String, FeedGap)>>,
     dedup_window_secs: u32,
+    /// The unlabelled `moas_feed_lag_seconds`: the max across
+    /// collectors, the series the `feed_lag` alert rule watches.
+    lag: Gauge,
 }
 
 impl FederationStatus {
-    fn new(units: Vec<Arc<FeedStatus>>, dedup_window_secs: u32) -> Self {
+    fn new(units: Vec<Arc<FeedStatus>>, dedup_window_secs: u32, registry: &Registry) -> Self {
         FederationStatus {
             units,
+            lag: registry.gauge("moas_feed_lag_seconds", LAG_HELP),
             running: AtomicU64::new(0),
             caught_up: AtomicU64::new(0),
             frontier: Mutex::new((String::new(), String::new(), 0)),
@@ -416,13 +492,24 @@ impl FederationStatus {
     pub fn collectors_json(&self) -> Value {
         Value::Array(self.units.iter().map(|u| u.to_json()).collect())
     }
+
+    /// Per-collector status blocks, in collector-id order.
+    pub fn units(&self) -> &[Arc<FeedStatus>] {
+        &self.units
+    }
+
+    /// Publishes the max-across-collectors lag on the unlabelled gauge.
+    fn publish_lag(&self) {
+        self.lag
+            .set(moas_serve::FeedStatusSource::lag_seconds(self));
+    }
 }
 
 impl moas_serve::FeedStatusSource for FederationStatus {
-    /// The single-feed JSON shape, aggregated across collectors, plus
-    /// the federated extras: a `collectors` array (one block per
-    /// vantage point) and the dedup counters. Gap rows carry the
-    /// collector that went dark.
+    /// The `/v1/feed` body: the per-collector counters aggregated
+    /// across collectors, the dedup counters, and a `collectors` array
+    /// (one block per vantage point). Gap rows carry the collector
+    /// that went dark.
     fn status_json(&self) -> Value {
         let snaps: Vec<_> = self.units.iter().map(|u| u.snapshot()).collect();
         let frontier = self
@@ -548,14 +635,22 @@ impl moas_serve::FeedStatusSource for FederationStatus {
     }
 }
 
-/// The federated coordinator: N collector units, one merged release
-/// order, one engine, one history sink.
+/// The feed driver: N ≥ 1 collector units, one merged release order,
+/// one engine, one history sink.
 pub struct Federation {
     config: FederationConfig,
     service: Arc<HistoryService>,
     engine: Option<MonitorEngine>,
     engine_metrics: Arc<EngineMetrics>,
+    /// The shared registry; its tracer carries each poll's
+    /// `feed_poll` trace.
     registry: Arc<Registry>,
+    /// Stage timers: one whole discovery-and-ingest pass.
+    stage_poll: Histogram,
+    /// Stage timers: one tail read over the in-flight file.
+    stage_tail: Histogram,
+    /// Stage timers: one pass's fold (dedup, decode, ingest).
+    stage_decode: Histogram,
     units: Vec<CollectorUnit>,
     status: Arc<FederationStatus>,
     dedup: DedupWindow,
@@ -583,7 +678,9 @@ impl Federation {
         Federation::open_with_registry(config, service, Arc::new(Registry::new()))
     }
 
-    /// [`Federation::open`] with all metric series on `registry`.
+    /// [`Federation::open`] with all metric series on `registry` —
+    /// share it with the query server so one `/metrics` scrape covers
+    /// ingest and serving in the same document.
     pub fn open_with_registry(
         mut config: FederationConfig,
         service: Arc<HistoryService>,
@@ -628,12 +725,16 @@ impl Federation {
         let status = Arc::new(FederationStatus::new(
             units.iter().map(|u| Arc::clone(&u.status)).collect(),
             config.dedup_window_secs,
+            &registry,
         ));
 
         let mut fed = Federation {
             dedup: DedupWindow::new(config.dedup_window_secs, config.collectors.len()),
             engine: Some(engine),
             engine_metrics,
+            stage_poll: registry.stage_histogram("feed_poll"),
+            stage_tail: registry.stage_histogram("feed_tail"),
+            stage_decode: registry.stage_histogram("mrt_decode"),
             registry,
             units,
             status,
@@ -788,7 +889,7 @@ impl Federation {
                     tailer.consumed()
                 )));
             }
-            self.dedup.open_file(slot_head_ts(&entry.file));
+            self.dedup.open_file(entry.file.slot_head_ts());
             self.fold_frames(entry.unit, &pass, entry.limit);
             self.engine().drain_events(); // regenerated, already durable
 
@@ -968,10 +1069,17 @@ impl Federation {
         tally
     }
 
-    /// Folds one live pass from unit `uidx` and books it: status,
-    /// lag, cursor record count, dedup counters.
+    /// Folds one live pass from unit `uidx` and books it: stage timer,
+    /// status, lag, cursor record count, dedup counters.
     fn ingest_pass(&mut self, uidx: usize, pass: &FramePass, progress: &mut FeedProgress) {
+        let started = Instant::now();
         let tally = self.fold_frames(uidx, pass, u64::MAX);
+        if !pass.frames.is_empty() {
+            let elapsed = started.elapsed();
+            self.stage_decode.observe_duration(elapsed);
+            let tracer = self.registry.tracer();
+            tracer.record_stage(tracer.current(), "mrt_decode", elapsed);
+        }
         let folded = tally.released + tally.deduped;
         if folded > 0 {
             self.units[uidx].status.observe_event_at(tally.newest);
@@ -1034,6 +1142,7 @@ impl Federation {
             };
             unit.status.set_lag_seconds(lag);
         }
+        self.status.publish_lag();
     }
 
     /// One merged discovery-and-ingest pass across every collector:
@@ -1041,6 +1150,23 @@ impl Federation {
     /// `(date, hhmm, collector)` order, tail the single globally
     /// in-flight file. Returns what happened; call in a loop.
     pub fn poll_once(&mut self) -> io::Result<FeedProgress> {
+        let started = Instant::now();
+        // Root span of the ingest trace, published as the ambient
+        // context for the pass: tail and decode record under it
+        // directly, shard-apply contexts cross the channel with each
+        // batch, and the history append/seal/publish stages (driven
+        // from this thread) pick it up ambiently.
+        let registry = Arc::clone(&self.registry);
+        let span = registry.tracer().span("feed_poll");
+        registry.tracer().set_current(span.context());
+        let result = self.poll_once_inner();
+        registry.tracer().clear_current();
+        span.finish();
+        self.stage_poll.observe_duration(started.elapsed());
+        result
+    }
+
+    fn poll_once_inner(&mut self) -> io::Result<FeedProgress> {
         let mut progress = FeedProgress::default();
         for uidx in 0..self.units.len() {
             let layout = scan_layout(&self.units[uidx].dir)?;
@@ -1099,13 +1225,18 @@ impl Federation {
                     if !unit.cursor.file.is_empty() && unit.cursor.file != file.name {
                         unit.cursor.files_done += 1;
                     }
-                    self.dedup.open_file(slot_head_ts(&file));
+                    self.dedup.open_file(file.slot_head_ts());
                     self.current = Some((uidx, file.clone(), FileTailer::open(&file.path, 0)));
                     self.units[uidx].tail_noted = false;
                     self.persist_cursors()?;
                 }
                 Some((uidx, file, mut tailer)) => {
+                    let tail_started = Instant::now();
                     let pass = tailer.frame()?;
+                    let elapsed = tail_started.elapsed();
+                    self.stage_tail.observe_duration(elapsed);
+                    let tracer = self.registry.tracer();
+                    tracer.record_stage(tracer.current(), "feed_tail", elapsed);
                     self.current = Some((uidx, file, tailer));
                     self.ingest_pass(uidx, &pass, &mut progress);
                     let (uidx, file, mut tailer) = self.current.take().expect("just stored");
@@ -1186,6 +1317,7 @@ impl Federation {
         for unit in &self.units {
             unit.status.set_lag_seconds(0);
         }
+        self.status.publish_lag();
         Ok(progress)
     }
 
@@ -1246,6 +1378,17 @@ mod tests {
                 as4: false,
             }),
         }
+    }
+
+    fn withdraw(peer_as: u32, ts: u32, prefix: &str) -> MrtRecord {
+        let mut record = announce(peer_as, ts, prefix, 0);
+        if let MrtBody::Bgp4mpMessage(m) = &mut record.body {
+            if let BgpMessage::Update(update) = &mut m.message {
+                update.withdrawn = std::mem::take(&mut update.announced);
+                update.attrs = Default::default();
+            }
+        }
+        record
     }
 
     /// The raw bytes a collector would have written for `ts`.
@@ -1321,32 +1464,69 @@ mod tests {
 
     #[test]
     fn fold_suppresses_in_window_copies_and_evicts() {
-        let mut engine = engine(2);
-        let mut w = DedupWindow::new(60, 2);
-        let mut fold = |w: &mut DedupWindow, ts: u32, prefix: &str| {
-            w.fold(&mut engine, 1, &frame(ts, prefix, 7))
+        let mut engine = engine(4);
+        let mut w = DedupWindow::new(60, 4);
+        let mut fold = |w: &mut DedupWindow, collector: u16, ts: u32, prefix: &str| {
+            w.fold(&mut engine, collector, &frame(ts, prefix, 7))
         };
         w.open_file(1_000);
-        assert_eq!(fold(&mut w, 1_000, "192.0.2.0/24"), Folded::Released);
-        assert_eq!(fold(&mut w, 1_030, "192.0.2.0/24"), Folded::Deduped);
-        assert_eq!(fold(&mut w, 950, "192.0.2.0/24"), Folded::Deduped);
+        assert_eq!(fold(&mut w, 0, 1_000, "192.0.2.0/24"), Folded::Released);
+        assert_eq!(fold(&mut w, 1, 1_030, "192.0.2.0/24"), Folded::Deduped);
         assert_eq!(
-            fold(&mut w, 1_061, "192.0.2.0/24"),
+            fold(&mut w, 2, 950, "192.0.2.0/24"),
+            Folded::Deduped,
+            "a copy skewed early dedups too"
+        );
+        assert_eq!(
+            fold(&mut w, 3, 1_061, "192.0.2.0/24"),
             Folded::Released,
             "beyond the window the update is a fresh (re-)announcement"
         );
         // A different update is never confused for the first.
-        assert_eq!(fold(&mut w, 1_000, "198.51.100.0/24"), Folded::Released);
+        assert_eq!(fold(&mut w, 1, 1_000, "198.51.100.0/24"), Folded::Released);
         // Entries survive same-slot file turnover: the next
         // collector's copy is processed a whole file later but still
         // dedups by timestamp skew.
         w.open_file(1_000);
-        assert_eq!(fold(&mut w, 1_090, "192.0.2.0/24"), Folded::Deduped);
+        assert_eq!(fold(&mut w, 0, 1_090, "192.0.2.0/24"), Folded::Deduped);
         // A file two windows past the entries evicts them; the same
         // content then releases as a genuine re-announcement.
         w.open_file(10_000);
         assert!(w.seen.is_empty(), "evicted entries must leave the map");
-        assert_eq!(fold(&mut w, 10_000, "192.0.2.0/24"), Folded::Released);
+        assert_eq!(fold(&mut w, 1, 10_000, "192.0.2.0/24"), Folded::Released);
+    }
+
+    /// A session that announces, withdraws and re-announces a prefix
+    /// with the same attributes inside the window is flapping, not
+    /// echoing: the re-announcement is released and the route
+    /// survives — with one collector, and when the flapping collector
+    /// had already been counted as a copy.
+    #[test]
+    fn same_collector_reannouncement_is_released_not_deduped() {
+        let prefix = "192.0.2.0/24";
+        let ann = |ts| announce(100, ts, prefix, 7).encode().freeze();
+        let wd = |ts| withdraw(100, ts, prefix).encode().freeze();
+
+        let mut one = engine(1);
+        let mut w = DedupWindow::new(90, 1);
+        w.open_file(1_000);
+        for f in [ann(1_000), wd(1_010), ann(1_020)] {
+            assert_eq!(w.fold(&mut one, 0, &f), Folded::Released);
+        }
+        assert_eq!(one.finish().routes, 1, "the re-announced route survives");
+
+        let mut two = engine(2);
+        let mut w = DedupWindow::new(90, 2);
+        w.open_file(1_000);
+        assert_eq!(w.fold(&mut two, 0, &ann(1_000)), Folded::Released);
+        assert_eq!(w.fold(&mut two, 1, &ann(1_025)), Folded::Deduped);
+        assert_eq!(w.fold(&mut two, 1, &wd(1_030)), Folded::Released);
+        assert_eq!(
+            w.fold(&mut two, 1, &ann(1_040)),
+            Folded::Released,
+            "b already counted for the announcement: this is b re-announcing"
+        );
+        assert_eq!(two.finish().routes, 1, "the re-announced route survives");
     }
 
     #[test]
@@ -1382,8 +1562,15 @@ mod tests {
         let mut w = DedupWindow::new(90, 1);
         let a = frame(1_000, "192.0.2.0/24", 7);
         assert_eq!(w.fold(&mut engine, 0, &a), Folded::Released);
-        assert_eq!(w.fold(&mut engine, 0, &a), Folded::Deduped);
-        assert!(w.seen.values().all(|r| r.sighting.is_none()));
+        assert_eq!(
+            w.fold(&mut engine, 0, &a),
+            Folded::Released,
+            "with one collector nothing is a copy"
+        );
+        assert!(
+            w.seen.is_empty() && w.order.is_empty(),
+            "a one-collector window keeps no entries, so no sightings"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! sorts by the *encoded* timestamp, never by mtime or directory
 //! order — a file that lands late (out of order within a polling
 //! window) still slots into its timestamp position as long as the
-//! follower has not advanced past it.
+//! feed has not advanced past it.
 
 use moas_net::Date;
 use std::io;
@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 /// One discovered update-archive file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedFile {
-    /// File name (the follower's cursor keys on this).
+    /// File name (the feed's cursor keys on this).
     pub name: String,
     /// Date encoded in the name.
     pub date: Date,
@@ -30,6 +30,14 @@ impl FeedFile {
     /// comparisons allocate nothing.
     pub fn sort_key(&self) -> (Date, u16, &str) {
         (self.date, self.hhmm, self.name.as_str())
+    }
+
+    /// The unix timestamp at which the file's slot starts (UTC day +
+    /// `HHMM`) — the clock MRT record timestamps use, so it compares
+    /// directly against ingested records.
+    pub fn slot_head_ts(&self) -> u32 {
+        moas_mrt::snapshot::midnight_timestamp(self.date)
+            .saturating_add((self.hhmm / 100) as u32 * 3_600 + (self.hhmm % 100) as u32 * 60)
     }
 }
 

@@ -1,9 +1,11 @@
-//! Live feed status: the shared block `/v1/feed` answers from.
+//! Live feed status: one [`FeedStatus`] block per collector of a
+//! [`crate::Federation`], aggregated into `/v1/feed` and listed by
+//! `/v1/collectors`.
 //!
-//! Every counter lives on a [`moas_obs::Registry`] — the follower
-//! updates typed handles on its thread; any number of server workers
-//! snapshot them without coordination, and the same series appear in
-//! the Prometheus `GET /metrics` scrape. Gap events keep a small
+//! Every counter lives on a [`moas_obs::Registry`] under a
+//! `collector` label — the feed thread updates typed handles; any
+//! number of server workers snapshot them without coordination, and
+//! the same series appear in the Prometheus `GET /metrics` scrape. Gap events keep a small
 //! bounded history (most recent first out) so a dashboard can show
 //! *which* days went missing, not just how many — and each gap is
 //! also recorded in the registry's operational event journal.
@@ -16,6 +18,10 @@ use std::sync::{Arc, Mutex};
 /// Most gap events retained for the status answer.
 const GAP_HISTORY: usize = 64;
 
+/// HELP text of `moas_feed_lag_seconds`, shared by the per-collector
+/// series and the unlabelled max-across-collectors series.
+pub(crate) const LAG_HELP: &str = "Seconds the ingest position trails the newest discovered file.";
+
 /// One detected feed gap: an archive day that never landed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedGap {
@@ -25,8 +31,9 @@ pub struct FeedGap {
     pub day: u32,
 }
 
-/// Shared live counters, updated by the follower and read by servers
-/// (and by Prometheus scrapes, through the shared registry).
+/// One collector's shared live counters, updated by the feed thread
+/// and read by servers (and by Prometheus scrapes, through the shared
+/// registry).
 pub struct FeedStatus {
     running: Gauge,
     caught_up: Gauge,
@@ -42,7 +49,6 @@ pub struct FeedStatus {
     truncated_tails: Counter,
     checkpoints: Counter,
     resumes: Counter,
-    suppressed_duplicates: Counter,
     last_event_at: Gauge,
     lag_seconds: Gauge,
     files_seen_total: Counter,
@@ -51,28 +57,18 @@ pub struct FeedStatus {
     day_files_done: Gauge,
     gaps: Mutex<Vec<FeedGap>>,
     registry: Arc<Registry>,
-    /// Collector name when this block is one vantage point of a
-    /// federation: every series carries a `collector` label (the
-    /// per-collector `moas_feed_lag_seconds{collector=...}` gauges
-    /// replace the single ambient one), gap journal events are scoped
-    /// to it, and the status JSON leads with it. `None` for the
-    /// legacy single follower — registration and JSON shape are
-    /// byte-identical to pre-federation builds.
-    collector: Option<String>,
-}
-
-impl Default for FeedStatus {
-    fn default() -> Self {
-        FeedStatus::new(&Arc::new(Registry::new()))
-    }
+    /// The collector this block describes: every series carries it as
+    /// the `collector` label, gap journal events are scoped to it, and
+    /// the status JSON leads with it.
+    collector: String,
 }
 
 /// A point-in-time copy of [`FeedStatus`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedStatusSnapshot {
-    /// Whether a follower currently drives the feed.
+    /// Whether a feed driver is running.
     pub running: bool,
-    /// Whether the follower has consumed everything discovered.
+    /// Whether the feed has consumed everything discovered.
     pub caught_up: bool,
     /// Update file currently being tailed (empty before the first).
     pub current_file: String,
@@ -91,18 +87,15 @@ pub struct FeedStatusSnapshot {
     pub records_skipped: u64,
     /// Missing archive days detected (lifetime, across restarts).
     pub gap_count: u64,
-    /// Files that arrived after the follower had advanced past their
+    /// Files that arrived after the feed had advanced past their
     /// timestamp slot (ignored — the history cannot rewind).
     pub late_files: u64,
     /// Finalized files that ended mid-record.
     pub truncated_tails: u64,
     /// Durable cursor checkpoints written.
     pub checkpoints: u64,
-    /// Times a follower resumed from a persisted cursor.
+    /// Times the feed resumed from a persisted cursor.
     pub resumes: u64,
-    /// Events dropped at resume because the durable log already held
-    /// them (crash-window duplicates).
-    pub suppressed_duplicates: u64,
     /// Largest update-stream timestamp ingested — stream time, for
     /// lag-behind-the-collector dashboards.
     pub last_event_at: u64,
@@ -122,26 +115,14 @@ pub struct FeedStatusSnapshot {
 }
 
 impl FeedStatus {
-    /// Registers every feed series on `registry` — share the registry
-    /// with the monitor engine and the query server so one scrape
-    /// covers the pipeline.
-    pub fn new(registry: &Arc<Registry>) -> Self {
-        FeedStatus::build(registry, None)
-    }
-
-    /// A status block for one vantage point of a federation: every
-    /// series is registered with a `collector` label, so N collectors
-    /// coexist on one registry as N labeled series per family.
+    /// Registers one collector's feed series on `registry`, each with
+    /// a `collector` label, so N collectors coexist on one registry as
+    /// N labeled series per family. Share the registry with the
+    /// monitor engine and the query server so one scrape covers the
+    /// pipeline.
     pub fn for_collector(registry: &Arc<Registry>, collector: &str) -> Self {
-        FeedStatus::build(registry, Some(collector.to_string()))
-    }
-
-    fn build(registry: &Arc<Registry>, collector: Option<String>) -> Self {
         let r = registry.as_ref();
-        let labels: Vec<(&str, &str)> = match &collector {
-            Some(name) => vec![("collector", name.as_str())],
-            None => Vec::new(),
-        };
+        let labels = [("collector", collector)];
         let gauge = |name, help| r.gauge_with(name, &labels, help);
         let counter = |name, help| r.counter_with(name, &labels, help);
         FeedStatus {
@@ -195,18 +176,11 @@ impl FeedStatus {
                 "moas_feed_resumes_total",
                 "Followers resumed from a persisted cursor.",
             ),
-            suppressed_duplicates: counter(
-                "moas_feed_suppressed_duplicates_total",
-                "Events dropped at resume as already durable.",
-            ),
             last_event_at: gauge(
                 "moas_feed_last_event_timestamp_seconds",
                 "Largest update-stream timestamp ingested.",
             ),
-            lag_seconds: gauge(
-                "moas_feed_lag_seconds",
-                "Seconds the ingest position trails the newest discovered file.",
-            ),
+            lag_seconds: gauge("moas_feed_lag_seconds", LAG_HELP),
             files_seen_total: counter(
                 "moas_feed_files_seen_total",
                 "Archive files discovered by this process.",
@@ -225,14 +199,13 @@ impl FeedStatus {
             ),
             gaps: Mutex::new(Vec::new()),
             registry: Arc::clone(registry),
-            collector,
+            collector: collector.to_string(),
         }
     }
 
-    /// The collector name when this block is one federation vantage
-    /// point (`None` for the legacy single follower).
-    pub fn collector(&self) -> Option<&str> {
-        self.collector.as_deref()
+    /// The collector this block describes.
+    pub fn collector(&self) -> &str {
+        &self.collector
     }
 
     /// The registry the feed series live on.
@@ -304,10 +277,6 @@ impl FeedStatus {
         self.resumes.inc();
     }
 
-    pub(crate) fn add_suppressed(&self, n: u64) {
-        self.suppressed_duplicates.add(n);
-    }
-
     pub(crate) fn observe_event_at(&self, at: u64) {
         self.last_event_at.max(at);
     }
@@ -317,13 +286,9 @@ impl FeedStatus {
             "archive day {} (day position {}) never landed",
             gap.date, gap.day
         );
-        match &self.collector {
-            Some(name) => self
-                .registry
-                .journal()
-                .record_with_collector("feed_gap", message, name),
-            None => self.registry.journal().record("feed_gap", message),
-        }
+        self.registry
+            .journal()
+            .record_with_collector("feed_gap", message, &self.collector);
         let mut gaps = self.gaps.lock().expect("status lock");
         if gaps.len() >= GAP_HISTORY {
             gaps.remove(0);
@@ -348,7 +313,6 @@ impl FeedStatus {
             truncated_tails: self.truncated_tails.get(),
             checkpoints: self.checkpoints.get(),
             resumes: self.resumes.get(),
-            suppressed_duplicates: self.suppressed_duplicates.get(),
             last_event_at: self.last_event_at.get(),
             lag_seconds: self.lag_seconds.get(),
             files_seen_total: self.files_seen_total.get(),
@@ -359,16 +323,11 @@ impl FeedStatus {
         }
     }
 
-    /// The JSON shape `/v1/feed` serves. A federation vantage point
-    /// leads with its collector name; the legacy single follower's
-    /// shape is unchanged.
+    /// One collector's block of `/v1/collectors`, led by its name.
     pub fn to_json(&self) -> Value {
         let s = self.snapshot();
-        let mut fields = Vec::new();
-        if let Some(name) = &self.collector {
-            fields.push(("collector".into(), Value::String(name.clone())));
-        }
-        fields.extend(vec![
+        Value::Object(vec![
+            ("collector".into(), Value::String(self.collector.clone())),
             ("running".into(), Value::Bool(s.running)),
             ("caught_up".into(), Value::Bool(s.caught_up)),
             (
@@ -417,21 +376,6 @@ impl FeedStatus {
             ("truncated_tails".into(), Value::U64(s.truncated_tails)),
             ("checkpoints".into(), Value::U64(s.checkpoints)),
             ("resumes".into(), Value::U64(s.resumes)),
-            (
-                "suppressed_duplicates".into(),
-                Value::U64(s.suppressed_duplicates),
-            ),
-        ]);
-        Value::Object(fields)
-    }
-}
-
-impl moas_serve::FeedStatusSource for FeedStatus {
-    fn status_json(&self) -> Value {
-        self.to_json()
-    }
-
-    fn lag_seconds(&self) -> u64 {
-        self.lag_seconds.get()
+        ])
     }
 }

@@ -1,6 +1,6 @@
 //! Incremental tailing of one growing MRT file.
 //!
-//! A collector writes the current update file in place; the follower
+//! A collector writes the current update file in place; the feed
 //! must consume complete records as they land without ever treating
 //! the in-flight tail as corruption. The tailer reads newly appended
 //! bytes behind a pending buffer and frames only *complete* records
@@ -16,7 +16,7 @@
 //! its decode. [`FileTailer::poll`] decodes every framed record.
 //!
 //! `consumed()` — the byte offset of the last complete record — is
-//! what the durable cursor records, so a restarted follower can
+//! what the durable cursor records, so a restarted feed can
 //! reopen the file and seek straight back to a record boundary.
 
 use bytes::Bytes;
@@ -52,9 +52,6 @@ pub struct TailPass {
     pub records_skipped: u64,
     /// New bytes read from the file this pass.
     pub bytes_read: u64,
-    /// Microseconds spent in the MRT decode loop this pass — the
-    /// follower feeds this into the `mrt_decode` stage histogram.
-    pub decode_micros: u64,
 }
 
 /// An open position in one growing update file.
@@ -161,7 +158,6 @@ impl FileTailer {
     /// (`FileTailer::frame`, then a decode per frame).
     pub fn poll(&mut self) -> io::Result<TailPass> {
         let framed = self.frame()?;
-        let decode_started = std::time::Instant::now();
         let mut pass = TailPass {
             bytes_read: framed.bytes_read,
             ..TailPass::default()
@@ -175,7 +171,6 @@ impl FileTailer {
                 Err(_) => pass.records_skipped += 1,
             }
         }
-        pass.decode_micros = decode_started.elapsed().as_micros() as u64;
         Ok(pass)
     }
 

@@ -44,7 +44,7 @@
 //! no crash-window adoption, no tmp-file cleanup), it just watches the
 //! `MANIFEST` for epoch swaps and republishes fresh [`HistoryEpoch`]s
 //! to its readers. N replica processes serving one store written by a
-//! single feed follower is the horizontal-scale topology the ROADMAP's
+//! single feed is the horizontal-scale topology the ROADMAP's
 //! "serving for millions of users" item calls for.
 //! [`HistoryService::role_handle`] gives serving layers the replica's
 //! published-vs-on-disk epoch lag for staleness checks.

@@ -137,8 +137,8 @@ impl MonitorEngine {
     }
 
     /// Spawns the shard workers with every engine metric registered on
-    /// `registry` — the deployment path, where the history store, feed
-    /// follower, and query server share the same registry so one
+    /// `registry` — the deployment path, where the history store, feed,
+    /// and query server share the same registry so one
     /// scrape covers the whole pipeline.
     pub fn with_registry(config: MonitorConfig, registry: Arc<moas_obs::Registry>) -> Self {
         assert!(config.shards >= 1, "need at least one shard");

@@ -53,7 +53,7 @@ pub struct EngineMetrics {
     /// worker (microseconds).
     pub stage_shard_apply: Histogram,
     /// End-to-end ingest-to-serve lag watermarks (fed by the feed
-    /// follower and the history service when both share this
+    /// and the history service when both share this
     /// registry).
     pub lag: LagTracker,
     registry: Arc<Registry>,

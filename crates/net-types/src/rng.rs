@@ -347,8 +347,8 @@ mod tests {
     #[test]
     fn value_stability_anchor() {
         // Pinned expected outputs: if this test ever fails, the
-        // generator changed and every calibrated number in
-        // EXPERIMENTS.md must be re-validated.
+        // generator changed and every calibrated number must be
+        // re-validated (`tests/paper_scale.rs`, the `figures` binary).
         let mut r = DetRng::new(0xD1CE);
         let got: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
         let again: Vec<u64> = {

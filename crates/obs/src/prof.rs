@@ -6,7 +6,7 @@
 //!
 //! * **Where do the cycles go, by thread?** Every pipeline thread
 //!   (shard workers, compaction daemon, server workers, feed
-//!   follower, tsdb sampler) reports through the process-global
+//!   thread, tsdb sampler) reports through the process-global
 //!   thread-name registry ([`register_thread`]); the [`CpuLedger`]
 //!   then walks `/proc/self/task/*/stat` on each sample and
 //!   attributes utime+stime deltas to the registered names as

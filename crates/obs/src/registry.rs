@@ -273,7 +273,7 @@ type SeriesKey = (String, Vec<(String, String)>);
 /// operational [`EventJournal`].
 ///
 /// Deployments create one `Arc<Registry>` and thread it through every
-/// layer (monitor engine, history store, feed follower, query server)
+/// layer (monitor engine, history store, feed, query server)
 /// so a single `GET /metrics` scrape covers the whole pipeline.
 pub struct Registry {
     series: Mutex<BTreeMap<SeriesKey, Entry>>,

@@ -21,12 +21,12 @@
 //! nest correctly.
 //!
 //! The *current context* ([`Tracer::set_current`]) is an ambient slot
-//! for the active ingest trace: the feed follower sets it for the span
+//! for the active ingest trace: the feed driver sets it for the span
 //! of one poll so downstream stages on other threads (shard workers
 //! receive it by message; the history store and compaction daemon read
 //! it directly) attach as children without threading a context through
 //! every call signature. It is a single global slot written by the one
-//! feed thread — writers other than the follower should pass contexts
+//! feed thread — writers other than the feed should pass contexts
 //! explicitly.
 
 use std::sync::atomic::{AtomicU64, Ordering};

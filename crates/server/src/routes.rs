@@ -70,7 +70,7 @@ pub trait FeedStatusSource: Send + Sync {
 }
 
 /// How a feed status source is attached: any [`FeedStatusSource`]
-/// behind an `Arc` (e.g. the feed crate's `FeedStatus`).
+/// behind an `Arc` (e.g. the feed crate's `FederationStatus`).
 pub type FeedStatusProvider = Arc<dyn FeedStatusSource>;
 
 /// The socket-independent request handler: an epoch-pinned router plus

@@ -2,9 +2,9 @@
 //! *before* any collection or detection happens.
 //!
 //! This is the tool used to tune `Calibration::paper()` — it reports
-//! what the world schedules, against which EXPERIMENTS.md's *measured*
-//! numbers (which flow through the collector and detector) can be
-//! compared. If the two diverge, the gap is in visibility/measurement,
+//! what the world schedules, against which the *measured* numbers the
+//! `figures` binary prints (which flow through the collector and
+//! detector) can be compared. If the two diverge, the gap is in visibility/measurement,
 //! not in scheduling.
 //!
 //! ```sh

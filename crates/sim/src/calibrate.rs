@@ -18,8 +18,8 @@
 //! | k > 300 | 1 002 conflicts; max 1246; ~1 326 ongoing at cutoff |
 //!
 //! Solving the bucket means gives the cohort table in
-//! [`Calibration::paper`]; `moas-core` re-measures everything and
-//! EXPERIMENTS.md records the deltas.
+//! [`Calibration::paper`]; `moas-core` re-measures everything, and
+//! `tests/paper_scale.rs` holds the measured numbers to the paper's.
 //!
 //! The daily baseline [`Calibration::baseline`] is piecewise-linear
 //! through Figure 2's yearly medians (mid-year anchors, since the

@@ -27,8 +27,9 @@
 //!   answers per-day queries for the collector substrate.
 //!
 //! The generator is *calibrated, then measured*: `moas-core` analyzes
-//! the produced tables with the paper's own methodology, and
-//! EXPERIMENTS.md records how close the measured statistics land.
+//! the produced tables with the paper's own methodology, and the
+//! `figures` binary (`moas-bench`) and `tests/paper_scale.rs` report
+//! how close the measured statistics land.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

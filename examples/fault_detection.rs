@@ -76,7 +76,7 @@ fn main() {
         }
     }
     if flagged.is_empty() {
-        println!("no surges flagged (unexpected — see EXPERIMENTS.md)");
+        println!("no surges flagged (unexpected at this scale)");
     }
     for (date, asn, today, baseline) in &flagged {
         println!(

@@ -1,16 +1,16 @@
 //! The live-feed subsystem end to end: a simulated collector appends
-//! dated BGP4MP update files on a timer, a [`FeedFollower`] tails
-//! them into a [`HistoryService`] (epochs advancing live), and a
+//! dated BGP4MP update files on a timer, a one-collector [`Federation`]
+//! tails them into a [`HistoryService`] (epochs advancing live), and a
 //! [`QueryServer`] answers `/v1/feed` — cursor, lag, gap count —
 //! alongside the regular query API while ingestion runs. A gap day is
 //! injected mid-window and comes back out of `/v1/feed`, and the
-//! follower is stopped and reopened mid-window to show cursor resume.
+//! feed is stopped and reopened mid-window to show cursor resume.
 //!
 //! ```sh
 //! cargo run --release --example live_feed
 //! ```
 
-use moas_feed::{FeedConfig, FeedFollower};
+use moas_feed::{Federation, FederationConfig};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig};
 use moas_lab::study::{Study, StudyConfig};
 use moas_monitor::MonitorConfig;
@@ -56,11 +56,12 @@ fn main() -> std::io::Result<()> {
         },
     )?);
 
-    let feed_config = FeedConfig {
+    let feed_config = FederationConfig {
         monitor: MonitorConfig::with_shards(4),
-        ..FeedConfig::new(&archive_dir, dates[0])
-    };
-    let mut follower = FeedFollower::open(feed_config.clone(), Arc::clone(&service))?;
+        ..FederationConfig::new(dates[0])
+    }
+    .collector("route-views", &archive_dir);
+    let mut feed = Federation::open(feed_config.clone(), Arc::clone(&service))?;
 
     println!("== query server up while the feed follows ==");
     let mut query = QueryService::new(
@@ -70,7 +71,7 @@ fn main() -> std::io::Result<()> {
             ..ServerConfig::default()
         },
     )
-    .with_feed_status(follower.status());
+    .with_feed_status(feed.status());
     if let Some(engine) = service.metrics_handle() {
         query = query.with_engine_metrics(engine);
     }
@@ -80,7 +81,7 @@ fn main() -> std::io::Result<()> {
     println!("   listening on {addr}");
 
     // First half of the window lands (day 2 goes missing), the
-    // follower catches up after each landing.
+    // feed catches up after each landing.
     let reader = service.reader();
     for day in 0..4 {
         if day == 2 {
@@ -89,7 +90,7 @@ fn main() -> std::io::Result<()> {
             continue;
         }
         let landed = sim.append_day()?.expect("day in window");
-        while !follower.poll_once()?.caught_up {}
+        while !feed.poll_once()?.caught_up {}
         println!(
             "   landed {} ({} records) → epoch {}",
             landed.path.file_name().unwrap().to_string_lossy(),
@@ -105,33 +106,36 @@ fn main() -> std::io::Result<()> {
     assert_eq!(status, 200);
     assert!(feed_json.contains("\"gap_count\":1"), "{feed_json}");
 
-    println!("== stop the follower mid-window, reopen: cursor resume ==");
-    let (cursor, _) = follower.shutdown()?;
-    println!("   stopped at cursor {}+{}", cursor.file, cursor.offset);
-    let mut follower = FeedFollower::open(feed_config, Arc::clone(&service))?;
+    println!("== stop the feed mid-window, reopen: cursor resume ==");
+    let (cursors, _) = feed.shutdown()?;
+    println!(
+        "   stopped at cursor {}+{}",
+        cursors[0].file, cursors[0].offset
+    );
+    let mut feed = Federation::open(feed_config, Arc::clone(&service))?;
     println!(
         "   reopened: resumes={} (rebuilt to the cursor, nothing re-appended)",
-        follower.status().snapshot().resumes
+        feed.status().units()[0].snapshot().resumes
     );
 
-    // The rest of the window lands on a timer while the follower
+    // The rest of the window lands on a timer while the feed
     // polls live.
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     std::thread::scope(|scope| -> std::io::Result<()> {
         let handle = scope.spawn(|| sim.run_timer(Duration::from_millis(20), &stop));
         while !sim_done(&handle) {
-            follower.poll_once()?;
+            feed.poll_once()?;
             std::thread::sleep(Duration::from_millis(5));
         }
         handle.join().expect("sim thread")?;
         Ok(())
     })?;
-    while !follower.poll_once()?.caught_up {}
-    follower.finalize()?;
+    while !feed.poll_once()?.caught_up {}
+    feed.finalize()?;
 
     println!("== after catch-up: live status and day-cut queries ==");
-    // The old server still serves /v1/feed from the *first*
-    // follower's (now stopped) status; bind the reopened follower's.
+    // The old server still serves /v1/feed from the *first* feed's
+    // (now stopped) status; bind the reopened feed's.
     let query2 = Arc::new(
         QueryService::new(
             service.reader(),
@@ -140,7 +144,7 @@ fn main() -> std::io::Result<()> {
                 ..ServerConfig::default()
             },
         )
-        .with_feed_status(follower.status()),
+        .with_feed_status(feed.status()),
     );
     let server2 = QueryServer::bind("127.0.0.1:0", Arc::clone(&query2))?;
     for target in [
@@ -154,7 +158,8 @@ fn main() -> std::io::Result<()> {
         assert_eq!(status, 200, "{target} must succeed");
     }
 
-    let (final_cursor, report) = follower.shutdown()?;
+    let (final_cursors, report) = feed.shutdown()?;
+    let final_cursor = &final_cursors[0];
     println!(
         "== done: {} files, {} records, {} gaps, cursor {}+{} ({} route updates applied) ==",
         final_cursor.files_done,

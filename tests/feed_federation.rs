@@ -16,11 +16,11 @@
 //!   the merged history still equals the single-collector fold, and
 //!   the gap surfaces with the collector's name in `/v1/feed` and the
 //!   operational event journal.
-//! * **Cursor migration:** a store written by the pre-federation
-//!   single follower (v1 `FEED_CURSOR`, killed mid-file) is adopted
-//!   by a federation in place: resume starts at the exact kill point,
-//!   nothing replays into the log twice, and the cursor is rewritten
-//!   in the v2 format.
+//! * **Cursor migration:** a store whose `FEED_CURSOR` is in the v1
+//!   format (as releases with a separate single-collector driver
+//!   wrote it, killed mid-file) is adopted by a federation in place:
+//!   resume starts at the exact kill point, nothing replays into the
+//!   log twice, and the cursor is rewritten in the v2 format.
 //! * **Multi-collector kill/resume:** three skewed collectors, killed
 //!   after collector 0 delivered a slot but before collectors 1–2 sent
 //!   their copies of it. The resumed federation rebuilds the raw-keyed
@@ -32,10 +32,11 @@
 //!   same sightings in.
 
 use moas_core::pipeline::analyze_mrt_archive;
-use moas_feed::{Federation, FederationConfig, FeedConfig, FeedCursor, FeedFollower};
+use moas_feed::{Federation, FederationConfig, FeedCursor};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig};
 use moas_lab::study::{Study, StudyConfig};
 use moas_monitor::{MonitorConfig, MonitorEngine, MonitorEvent};
+use moas_mrt::reader::MrtReader;
 use moas_mrt::record::MrtRecord;
 use moas_mrt::snapshot::DumpFormat;
 use moas_net::{Date, Ipv4Prefix, Prefix};
@@ -48,7 +49,7 @@ use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const DAYS: usize = 10;
@@ -95,13 +96,29 @@ fn catch_up_fed(fed: &mut Federation) {
     panic!("federation never caught up");
 }
 
-fn catch_up(follower: &mut FeedFollower) {
-    for _ in 0..10_000 {
-        if follower.poll_once().expect("poll").caught_up {
-            return;
-        }
+/// A federation of one over `dir`: the single-collector fold.
+fn open_single(dir: &Path, start: Date, service: &Arc<HistoryService>) -> Federation {
+    let config = FederationConfig {
+        monitor: MonitorConfig::with_shards(SHARDS),
+        checkpoint_bytes: 1 << 16,
+        ..FederationConfig::new(start)
     }
-    panic!("follower never caught up");
+    .collector("a", dir);
+    Federation::open(config, Arc::clone(service)).unwrap()
+}
+
+/// MRT records in every update file of `dir`, counted by the plain
+/// stream reader — a count that shares no feed code.
+fn archive_records(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mrt"))
+        .map(|p| {
+            let file = std::io::BufReader::new(std::fs::File::open(p).unwrap());
+            MrtReader::new(file).count() as u64
+        })
+        .sum()
 }
 
 /// The batch reference over the same window: per-day table dumps.
@@ -271,45 +288,41 @@ fn federation_over_identical_archives_equals_single_fold() {
         sim.dirs()
     };
 
-    // Reference: the pre-federation single follower over collector
-    // a's (undistorted) copy.
+    // Reference: the single-collector fold over collector a's
+    // (undistorted) copy, itself held to batch and to a plain count
+    // of the archive's records.
     let ref_store = fresh("eq-ref-store");
     let ref_service = Arc::new(HistoryService::open(&ref_store, service_config(dates[0])).unwrap());
     let ref_cursor: FeedCursor = {
-        let mut follower = FeedFollower::open(
-            FeedConfig {
-                monitor: MonitorConfig::with_shards(SHARDS),
-                checkpoint_bytes: 1 << 16,
-                ..FeedConfig::new(&dirs[0], dates[0])
-            },
-            Arc::clone(&ref_service),
-        )
-        .unwrap();
-        catch_up(&mut follower);
-        follower.finalize().unwrap();
+        let mut single = open_single(&dirs[0], dates[0], &ref_service);
+        catch_up_fed(&mut single);
+        single.finalize().unwrap();
 
-        // Pin the legacy single-feed answer shape: no federated keys.
+        // A one-collector feed serves the federated shape: one
+        // collector block, nothing deduped.
         let query = Arc::new(
             QueryService::new(ref_service.reader(), ServerConfig::default())
-                .with_feed_status(follower.status()),
+                .with_feed_status(single.status()),
         );
         let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
         let (status, feed) = get_json(server.local_addr(), "/v1/feed");
         assert_eq!(status, 200);
-        assert!(
-            feed.get("collectors").is_none() && feed.get("deduped").is_none(),
-            "single-feed shape must not grow federated keys: {feed:?}"
-        );
-        assert!(
-            feed.get("cursor").unwrap().get("collector").is_none(),
-            "single-feed cursor must not grow a collector field"
-        );
+        let blocks = feed.get("collectors").and_then(Value::as_array).unwrap();
+        assert_eq!(blocks.len(), 1, "{feed:?}");
+        assert_eq!(s(&blocks[0], "collector"), "a");
+        assert_eq!(u(&feed, "deduped"), 0, "one collector has no copies");
+        assert_eq!(s(feed.get("cursor").unwrap(), "collector"), "a");
         server.shutdown();
         drop(query);
-        let (cursor, _) = follower.shutdown().unwrap();
-        cursor
+        let (mut cursors, _) = single.shutdown().unwrap();
+        cursors.remove(0)
     };
     assert_history_matches_batch(&ref_service, &dates, &batch, "single fold vs batch");
+    assert_eq!(
+        ref_cursor.records,
+        archive_records(&dirs[0]),
+        "the single fold ingests every record of its archive"
+    );
 
     // Federation over all four copies.
     let store = fresh("eq-store");
@@ -588,23 +601,16 @@ fn missing_day_collector_keeps_corroborated_view_alive() {
         sim.dirs()
     };
 
-    // Reference single fold over the full collector.
+    // Reference single fold over the full collector, held to batch.
     let ref_store = fresh("gap-ref-store");
     let ref_service = Arc::new(HistoryService::open(&ref_store, service_config(dates[0])).unwrap());
     {
-        let mut follower = FeedFollower::open(
-            FeedConfig {
-                monitor: MonitorConfig::with_shards(SHARDS),
-                checkpoint_bytes: 1 << 16,
-                ..FeedConfig::new(&dirs[0], dates[0])
-            },
-            Arc::clone(&ref_service),
-        )
-        .unwrap();
-        catch_up(&mut follower);
-        follower.finalize().unwrap();
-        follower.shutdown().unwrap();
+        let mut single = open_single(&dirs[0], dates[0], &ref_service);
+        catch_up_fed(&mut single);
+        single.finalize().unwrap();
+        single.shutdown().unwrap();
     }
+    assert_history_matches_batch(&ref_service, &dates, &batch, "single fold vs batch");
 
     let store = fresh("gap-store");
     let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
@@ -676,18 +682,18 @@ fn missing_day_collector_keeps_corroborated_view_alive() {
     std::fs::remove_dir_all(&ref_store).ok();
 }
 
-/// A store written by the pre-federation single follower — v1 cursor,
-/// killed mid-file — is adopted by a (single-collector) federation in
-/// place: resume lands on the exact kill point, the final history
-/// equals an uninterrupted run byte for byte, and the cursor file is
-/// rewritten in the v2 format.
+/// A store whose cursor is in the v1 format — killed mid-file — is
+/// adopted by a (single-collector) federation in place: resume lands
+/// on the exact kill point, the final history equals an uninterrupted
+/// run byte for byte, and the cursor file is rewritten in the v2
+/// format.
 #[test]
 fn v1_cursor_migrates_mid_stream_without_replay() {
     let study = Study::build(StudyConfig::test(0.004));
     let dates = window_dates(&study);
     let batch = batch_reference(&study, &dates, "mig-ribs");
 
-    // Reference: one uninterrupted single follower.
+    // Reference: one uninterrupted single-collector run.
     let reference_cursor: FeedCursor = {
         let archive = fresh("mig-ref-archive");
         {
@@ -697,26 +703,29 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
         }
         let store = fresh("mig-ref-store");
         let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-        let mut follower = FeedFollower::open(
-            FeedConfig {
+        let mut single = Federation::open(
+            FederationConfig {
                 monitor: MonitorConfig::with_shards(SHARDS),
                 checkpoint_bytes: 1,
-                ..FeedConfig::new(&archive, dates[0])
-            },
+                ..FederationConfig::new(dates[0])
+            }
+            .collector("route-views", &archive),
             Arc::clone(&service),
         )
         .unwrap();
-        catch_up(&mut follower);
-        follower.finalize().unwrap();
-        let (cursor, _) = follower.shutdown().unwrap();
+        catch_up_fed(&mut single);
+        single.finalize().unwrap();
+        let (mut cursors, _) = single.shutdown().unwrap();
         assert_history_matches_batch(&service, &dates, &batch, "reference run vs batch");
         close_service(service);
         std::fs::remove_dir_all(&archive).ok();
         std::fs::remove_dir_all(&store).ok();
-        cursor
+        cursors.remove(0)
     };
 
-    // First life: the legacy follower, killed mid-file on day 4.
+    // First life: a single-collector feed, killed mid-file on day 4;
+    // its cursor is then rewritten as the v1 line an older release
+    // would have left at the same position.
     let archive = fresh("mig-archive");
     let store = fresh("mig-store");
     let mut collector = Collector::new(&study.world, &study.peers);
@@ -726,28 +735,30 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
     }
     let killed_cursor: FeedCursor = {
         let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-        let mut follower = FeedFollower::open(
-            FeedConfig {
+        let mut single = Federation::open(
+            FederationConfig {
                 monitor: MonitorConfig::with_shards(SHARDS),
                 checkpoint_bytes: 1,
-                ..FeedConfig::new(&archive, dates[0])
-            },
+                ..FederationConfig::new(dates[0])
+            }
+            .collector("route-views", &archive),
             Arc::clone(&service),
         )
         .unwrap();
-        catch_up(&mut follower);
+        catch_up_fed(&mut single);
         let day4 = sim.begin_day().unwrap().expect("day 4 in window");
-        catch_up(&mut follower);
-        let cursor = follower.cursor().clone();
+        catch_up_fed(&mut single);
+        let cursor = single.cursors().remove(0);
         assert!(cursor.offset > 0 && cursor.offset < day4.bytes, "mid-file");
-        drop(follower);
+        drop(single);
         cursor
     };
     let on_disk = std::fs::read_to_string(store.join("FEED_CURSOR")).unwrap();
     assert!(
-        on_disk.starts_with("MFCUR001"),
-        "the single follower writes the v1 format: {on_disk:?}"
+        on_disk.starts_with("MFCUR002"),
+        "the feed writes the v2 format: {on_disk:?}"
     );
+    write_v1_cursor(&store, &killed_cursor);
 
     // The collector finishes the window; a federation adopts the store.
     sim.finish_day().unwrap();
@@ -771,7 +782,7 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
     let (cursors, _) = fed.shutdown().unwrap();
 
     // Byte-for-byte resume: the migrated run ends exactly where the
-    // uninterrupted single follower did, and the cursor now lives in
+    // uninterrupted single-collector run did, and the cursor now lives in
     // the v2 format under the same legacy file name.
     assert_eq!(cursors[0].file, reference_cursor.file);
     assert_eq!(cursors[0].offset, reference_cursor.offset);
@@ -793,6 +804,27 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
     close_service(service);
     std::fs::remove_dir_all(&archive).ok();
     std::fs::remove_dir_all(&store).ok();
+}
+
+/// Writes `cursor` as a v1 `FEED_CURSOR` line: the format releases
+/// with a separate single-collector driver persisted.
+fn write_v1_cursor(store: &Path, cursor: &FeedCursor) {
+    let payload = format!(
+        "MFCUR001 file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
+        cursor.file,
+        cursor.offset,
+        cursor.next_day,
+        cursor.files_done,
+        cursor.gaps,
+        cursor.records,
+        cursor.shards,
+    );
+    let crc = moas_history::codec::crc32(payload.as_bytes());
+    std::fs::write(
+        store.join("FEED_CURSOR"),
+        format!("{payload} crc={crc:08x}\n"),
+    )
+    .unwrap();
 }
 
 /// What a federated store serves and counts, for comparing two runs.

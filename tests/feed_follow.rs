@@ -1,6 +1,7 @@
-//! Acceptance for the live collector-feed subsystem (`moas-feed`).
+//! Acceptance for the live collector-feed subsystem (`moas-feed`) over
+//! one collector: a `Federation` of one.
 //!
-//! * **Catch-up exactness:** a follower driven by the simulated
+//! * **Catch-up exactness:** a feed driven by the simulated
 //!   collector produces, after catch-up, exactly the same
 //!   `total_conflicts`/`durations` as batch `analyze_mrt_archive`
 //!   over the same window, while `moas-serve` answers `/v1/feed`
@@ -15,7 +16,7 @@
 //!   pipeline and surfaces as a `FeedGap` in `/v1/feed`.
 
 use moas_core::pipeline::analyze_mrt_archive;
-use moas_feed::{FeedConfig, FeedCursor, FeedFollower};
+use moas_feed::{Federation, FederationConfig, FeedCursor};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig};
 use moas_lab::study::{Study, StudyConfig};
 use moas_monitor::MonitorConfig;
@@ -25,7 +26,7 @@ use moas_routeviews::{
     update_file_name, write_update_archive, write_window_archive, BackgroundMode, Collector,
     SimFeed,
 };
-use moas_serve::{QueryServer, QueryService, ServerConfig};
+use moas_serve::{FeedStatusSource, QueryServer, QueryService, ServerConfig};
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -63,22 +64,28 @@ fn service_config(start: Date) -> ServiceConfig {
     }
 }
 
-fn feed_config(archive: &std::path::Path, start: Date, checkpoint_bytes: u64) -> FeedConfig {
-    FeedConfig {
+fn feed_config(archive: &std::path::Path, start: Date, checkpoint_bytes: u64) -> FederationConfig {
+    FederationConfig {
         monitor: MonitorConfig::with_shards(SHARDS),
         checkpoint_bytes,
-        ..FeedConfig::new(archive, start)
+        ..FederationConfig::new(start)
     }
+    .collector("route-views", archive)
 }
 
-/// Polls until the follower has consumed everything on disk.
-fn catch_up(follower: &mut FeedFollower) {
+/// Polls until the feed has consumed everything on disk.
+fn catch_up(fed: &mut Federation) {
     for _ in 0..10_000 {
-        if follower.poll_once().expect("poll").caught_up {
+        if fed.poll_once().expect("poll").caught_up {
             return;
         }
     }
-    panic!("follower never caught up");
+    panic!("feed never caught up");
+}
+
+/// The one collector's cursor.
+fn cursor(fed: &Federation) -> FeedCursor {
+    fed.cursors().remove(0)
 }
 
 /// The batch reference over the same window: per-day table dumps.
@@ -171,23 +178,23 @@ fn feed_catchup_matches_batch_and_serves_status() {
 
     let store = fresh("catchup-store");
     let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-    let mut follower = FeedFollower::open(
+    let mut fed = Federation::open(
         feed_config(&archive, dates[0], 1 << 16),
         Arc::clone(&service),
     )
-    .expect("open follower");
+    .expect("open feed");
 
     let reader = service.reader();
     let epoch_before = reader.epoch();
-    catch_up(&mut follower);
-    let final_progress = follower.finalize().expect("finalize");
+    catch_up(&mut fed);
+    let final_progress = fed.finalize().expect("finalize");
     assert!(final_progress.days_marked >= 1, "last day must be marked");
     assert!(
         reader.epoch() > epoch_before,
         "epochs must advance as the feed ingests"
     );
 
-    // The follower's status is served live under /v1/feed.
+    // The feed's status is served live under /v1/feed.
     let query = Arc::new(
         QueryService::new(
             reader.clone(),
@@ -196,7 +203,7 @@ fn feed_catchup_matches_batch_and_serves_status() {
                 ..ServerConfig::default()
             },
         )
-        .with_feed_status(follower.status()),
+        .with_feed_status(fed.status()),
     );
     let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
     let (status, feed) = get_json(server.local_addr(), "/v1/feed");
@@ -215,8 +222,8 @@ fn feed_catchup_matches_batch_and_serves_status() {
     assert!(u(&feed, "records") > 0);
 
     // And the history equals the batch scan exactly.
-    let (cursor, report) = follower.shutdown().expect("shutdown");
-    assert_eq!(cursor.next_day, DAYS as u32);
+    let (cursors, report) = fed.shutdown().expect("shutdown");
+    assert_eq!(cursors[0].next_day, DAYS as u32);
     assert!(report.routes > 0);
     assert_history_matches_batch(&service, &dates, &batch, "catch-up vs batch");
 
@@ -239,7 +246,7 @@ fn mid_file_restart_resumes_byte_exact() {
     let dates = window_dates(&study);
     let batch = batch_reference(&study, &dates, "restart-ribs");
 
-    // Reference: one uninterrupted follower over the full archive.
+    // Reference: one uninterrupted feed over the full archive.
     let reference_cursor: FeedCursor = {
         let archive = fresh("ref-archive");
         {
@@ -248,19 +255,19 @@ fn mid_file_restart_resumes_byte_exact() {
         }
         let store = fresh("ref-store");
         let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-        let mut follower =
-            FeedFollower::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
-        catch_up(&mut follower);
-        follower.finalize().unwrap();
-        let (cursor, _) = follower.shutdown().unwrap();
+        let mut fed =
+            Federation::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
+        catch_up(&mut fed);
+        fed.finalize().unwrap();
+        let (mut cursors, _) = fed.shutdown().unwrap();
         assert_history_matches_batch(&service, &dates, &batch, "reference run vs batch");
         std::fs::remove_dir_all(&archive).ok();
         std::fs::remove_dir_all(&store).ok();
-        cursor
+        cursors.remove(0)
     };
 
     // Interrupted: the simulated collector lands days 0..=3, then
-    // leaves day 4 truncated mid-record; the follower checkpoints on
+    // leaves day 4 truncated mid-record; the feed checkpoints on
     // every poll, is killed mid-file, and a fresh process resumes.
     let archive = fresh("kill-archive");
     let store = fresh("kill-store");
@@ -272,15 +279,15 @@ fn mid_file_restart_resumes_byte_exact() {
 
     let killed_cursor: FeedCursor = {
         let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-        let mut follower =
-            FeedFollower::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
-        catch_up(&mut follower);
+        let mut fed =
+            Federation::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
+        catch_up(&mut fed);
 
-        // Day 4 lands truncated mid-record; the follower must ingest
-        // the complete records and keep the partial tail pending.
+        // Day 4 lands truncated mid-record; the feed must ingest the
+        // complete records and keep the partial tail pending.
         let day4 = sim.begin_day().unwrap().expect("day 4 in window");
-        catch_up(&mut follower);
-        let cursor = follower.cursor().clone();
+        catch_up(&mut fed);
+        let cursor = cursor(&fed);
         assert_eq!(
             cursor.file,
             day4.path.file_name().unwrap().to_str().unwrap()
@@ -293,7 +300,7 @@ fn mid_file_restart_resumes_byte_exact() {
         );
         // Kill: no shutdown, no finalize — engine and service dropped
         // with whatever the last checkpoint made durable.
-        drop(follower);
+        drop(fed);
         cursor
     };
 
@@ -303,21 +310,21 @@ fn mid_file_restart_resumes_byte_exact() {
 
     // Restart over the same store: rebuild to the cursor, resume.
     let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-    let mut follower =
-        FeedFollower::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
-    let resumed = follower.status().snapshot();
-    assert_eq!(resumed.resumes, 1, "follower must resume from the cursor");
+    let mut fed =
+        Federation::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
+    let resumed = fed.status().units()[0].snapshot();
+    assert_eq!(resumed.resumes, 1, "feed must resume from the cursor");
     assert_eq!(
-        follower.cursor(),
-        &killed_cursor,
+        cursor(&fed),
+        killed_cursor,
         "resume starts at the kill point"
     );
-    catch_up(&mut follower);
-    follower.finalize().unwrap();
-    let (final_cursor, _) = follower.shutdown().unwrap();
+    catch_up(&mut fed);
+    fed.finalize().unwrap();
+    let (final_cursors, _) = fed.shutdown().unwrap();
 
     // Byte-for-byte cursor exactness against the uninterrupted run.
-    assert_eq!(final_cursor, reference_cursor);
+    assert_eq!(final_cursors, vec![reference_cursor]);
     // And the history is exactly the batch answer — nothing lost,
     // nothing double-counted across the kill.
     assert_history_matches_batch(&service, &dates, &batch, "killed+resumed run vs batch");
@@ -356,16 +363,16 @@ fn stale_cursor_resume_suppresses_duplicates() {
     // on-disk cursor back, as if the final rename never happened.
     let stale_cursor: FeedCursor = {
         let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-        let mut follower =
-            FeedFollower::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
-        catch_up(&mut follower);
-        let stale = follower.cursor().clone();
+        let mut fed =
+            Federation::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
+        catch_up(&mut fed);
+        let stale = cursor(&fed);
         sim.append_day().unwrap();
         sim.append_day().unwrap();
-        catch_up(&mut follower);
-        assert!(follower.cursor().records > stale.records);
-        drop(follower);
-        stale.persist(store.as_path()).unwrap();
+        catch_up(&mut fed);
+        assert!(cursor(&fed).records > stale.records);
+        drop(fed);
+        stale.stage_v2(store.as_path()).unwrap().commit().unwrap();
         stale
     };
 
@@ -375,17 +382,17 @@ fn stale_cursor_resume_suppresses_duplicates() {
     // Second life: the log is ahead of the cursor; the watermarks
     // must absorb the overlap.
     let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-    let mut follower =
-        FeedFollower::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
-    assert_eq!(follower.cursor(), &stale_cursor);
-    catch_up(&mut follower);
-    follower.finalize().unwrap();
-    let snapshot = follower.status().snapshot();
+    let mut fed =
+        Federation::open(feed_config(&archive, dates[0], 1), Arc::clone(&service)).unwrap();
+    assert_eq!(cursor(&fed), stale_cursor);
+    catch_up(&mut fed);
+    fed.finalize().unwrap();
+    let status = fed.status().status_json();
     assert!(
-        snapshot.suppressed_duplicates > 0,
+        u(&status, "suppressed_duplicates") > 0,
         "the re-ingested overlap must be suppressed, not re-appended"
     );
-    follower.shutdown().unwrap();
+    fed.shutdown().unwrap();
 
     assert_history_matches_batch(&service, &dates, &batch, "stale-cursor resume vs batch");
     Arc::try_unwrap(service)
@@ -416,14 +423,14 @@ fn gap_day_is_marked_and_surfaced() {
     sim.append_day().unwrap();
 
     let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
-    let mut follower =
-        FeedFollower::open(feed_config(&archive, dates[0], 0), Arc::clone(&service)).unwrap();
-    catch_up(&mut follower);
-    let progress = follower.finalize().unwrap();
-    assert_eq!(follower.cursor().gaps, 1);
+    let mut fed =
+        Federation::open(feed_config(&archive, dates[0], 0), Arc::clone(&service)).unwrap();
+    catch_up(&mut fed);
+    let progress = fed.finalize().unwrap();
+    assert_eq!(cursor(&fed).gaps, 1);
     assert_eq!(progress.days_marked, 1, "finalize marks the last day");
 
-    let snapshot = follower.status().snapshot();
+    let snapshot = fed.status().units()[0].snapshot();
     assert_eq!(snapshot.gap_count, 1);
     assert_eq!(snapshot.gaps.len(), 1);
     assert_eq!(snapshot.gaps[0].date, dates[2]);
@@ -431,8 +438,7 @@ fn gap_day_is_marked_and_surfaced() {
 
     // Served under /v1/feed.
     let query = Arc::new(
-        QueryService::new(service.reader(), ServerConfig::default())
-            .with_feed_status(follower.status()),
+        QueryService::new(service.reader(), ServerConfig::default()).with_feed_status(fed.status()),
     );
     let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
     let (status, feed) = get_json(server.local_addr(), "/v1/feed");
@@ -452,7 +458,7 @@ fn gap_day_is_marked_and_surfaced() {
     // All five day positions were marked despite the hole: the gap
     // day got its (empty) mark so the store's day accounting is not
     // silently skewed.
-    assert_eq!(follower.cursor().next_day, 5);
+    assert_eq!(cursor(&fed).next_day, 5);
 
     // Without a feed attached, the route answers 404.
     let bare = QueryService::new(service.reader(), ServerConfig::default());
@@ -468,7 +474,7 @@ fn gap_day_is_marked_and_surfaced() {
 
     server.shutdown();
     drop(query);
-    follower.shutdown().unwrap();
+    fed.shutdown().unwrap();
     Arc::try_unwrap(service)
         .ok()
         .expect("sole service handle")

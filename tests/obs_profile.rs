@@ -15,7 +15,7 @@
 //!   envelope `{"error":{code,message,retry_after}}` — pinned here so
 //!   a refactor cannot silently change the wire contract.
 
-use moas_feed::{FeedConfig, FeedFollower};
+use moas_feed::{Federation, FederationConfig};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig};
 use moas_lab::study::{Study, StudyConfig};
 use moas_net::Date;
@@ -266,7 +266,7 @@ fn cpu_attribution_and_stage_profiles_reconcile_under_load() {
     };
 
     // Concurrent query load: two named client threads hammer the read
-    // API while the follower ingests.
+    // API while the feed ingests.
     let clients: Vec<_> = (0..2)
         .map(|i| {
             let stop = Arc::clone(&stop);
@@ -286,16 +286,16 @@ fn cpu_attribution_and_stage_profiles_reconcile_under_load() {
         })
         .collect();
 
-    // The SimFeed ingest: the follower, history daemon, and shard
+    // The SimFeed ingest: the feed, history daemon, and shard
     // workers all spawn named.
-    let mut follower = FeedFollower::open_with_registry(
-        FeedConfig::new(&archive_dir, dates[0]),
+    let mut fed = Federation::open_with_registry(
+        FederationConfig::new(dates[0]).collector("route-views", &archive_dir),
         Arc::clone(&service),
         Arc::clone(&registry),
     )
-    .expect("open follower");
-    while !follower.poll_once().expect("poll").caught_up {}
-    follower.finalize().expect("finalize");
+    .expect("open feed");
+    while !fed.poll_once().expect("poll").caught_up {}
+    fed.finalize().expect("finalize");
     service.wait_idle();
 
     // The load window proper: the clients keep hammering while the
@@ -422,7 +422,7 @@ fn cpu_attribution_and_stage_profiles_reconcile_under_load() {
     assert!(body.contains("moas_process_start_time_seconds"));
 
     server.shutdown();
-    follower.shutdown().expect("follower shutdown");
+    fed.shutdown().expect("feed shutdown");
 }
 
 /// The workload analytics surface on a light server: the top-k

@@ -7,16 +7,20 @@
 //! resolved across `/v1/alerts` polls, the transitions in
 //! `/v1/events/log`, readiness failing while the page rule fires, and
 //! a slow request's journal entry resolving to its span tree at
-//! `/v1/trace/{id}`.
+//! `/v1/trace/{id}`. A real two-collector stall must reach the same
+//! alert: the feed publishes its max-across-collectors lag on the
+//! unlabelled series the page rule watches.
 
-use moas_feed::{FeedConfig, FeedFollower};
+use moas_feed::{Federation, FederationConfig};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig};
 use moas_lab::study::{Study, StudyConfig};
 use moas_net::Date;
 use moas_obs::tsdb::unix_now;
 use moas_obs::{AlertEngine, Registry, Tsdb};
-use moas_routeviews::{write_update_archive, BackgroundMode, Collector};
-use moas_serve::{QueryServer, QueryService, ServerConfig};
+use moas_routeviews::{
+    write_update_archive, BackgroundMode, Collector, SimCollectorSpec, SimFederation,
+};
+use moas_serve::{FeedStatusSource, QueryServer, QueryService, ServerConfig};
 use serde::Value;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -106,24 +110,24 @@ fn open_service(dir: &PathBuf, start: Date) -> Arc<HistoryService> {
     )
 }
 
-/// Ingests the archive through a follower on `registry`, returning
-/// after the service is idle (every epoch published).
+/// Ingests the archive through a one-collector feed on `registry`,
+/// returning after the service is idle (every epoch published).
 fn ingest(
     archive_dir: &PathBuf,
     service: &Arc<HistoryService>,
     registry: &Arc<Registry>,
     start: Date,
-) -> FeedFollower {
-    let mut follower = FeedFollower::open_with_registry(
-        FeedConfig::new(archive_dir, start),
+) -> Federation {
+    let mut feed = Federation::open_with_registry(
+        FederationConfig::new(start).collector("route-views", archive_dir),
         Arc::clone(service),
         Arc::clone(registry),
     )
-    .expect("open follower");
-    while !follower.poll_once().expect("poll").caught_up {}
-    follower.finalize().expect("finalize");
+    .expect("open feed");
+    while !feed.poll_once().expect("poll").caught_up {}
+    feed.finalize().expect("finalize");
     service.wait_idle();
-    follower
+    feed
 }
 
 /// The names of every span in one trace, asserting along the way that
@@ -159,7 +163,7 @@ fn one_trace_follows_a_file_from_poll_to_published_epoch() {
     let archive_dir = write_archive("trace-archive", &mut dates);
     let service = open_service(&tmp("trace-store"), dates[0]);
     let registry = Arc::new(Registry::new());
-    let follower = ingest(&archive_dir, &service, &registry, dates[0]);
+    let feed = ingest(&archive_dir, &service, &registry, dates[0]);
 
     let roots = registry.tracer().slowest_roots(100);
     assert!(!roots.is_empty(), "ingest must record root spans");
@@ -190,7 +194,7 @@ fn one_trace_follows_a_file_from_poll_to_published_epoch() {
         "no feed_poll trace covers the whole pipeline; best saw {best:?}"
     );
 
-    follower.shutdown().expect("follower shutdown");
+    feed.shutdown().expect("feed shutdown");
 }
 
 /// Sampling 0 silences the tracer completely — zero recorded spans
@@ -203,7 +207,7 @@ fn sampling_zero_records_no_spans_but_histograms_still_observe() {
     let service = open_service(&tmp("nosample-store"), dates[0]);
     let registry = Arc::new(Registry::new());
     registry.tracer().set_sampling(0);
-    let follower = ingest(&archive_dir, &service, &registry, dates[0]);
+    let feed = ingest(&archive_dir, &service, &registry, dates[0]);
 
     assert_eq!(
         registry.tracer().recorded(),
@@ -228,7 +232,7 @@ fn sampling_zero_records_no_spans_but_histograms_still_observe() {
         assert!(count > 0, "{stage} histogram must still observe: {line}");
     }
 
-    follower.shutdown().expect("follower shutdown");
+    feed.shutdown().expect("feed shutdown");
 }
 
 /// Kind strings of every journaled event served at `/v1/events/log`.
@@ -279,7 +283,7 @@ fn injected_feed_stall_drives_the_alert_loop_over_the_wire() {
     let archive_dir = write_archive("stall-archive", &mut dates);
     let service = open_service(&tmp("stall-store"), dates[0]);
     let registry = Arc::new(Registry::new());
-    let follower = ingest(&archive_dir, &service, &registry, dates[0]);
+    let feed = ingest(&archive_dir, &service, &registry, dates[0]);
 
     let tsdb = Arc::new(Tsdb::default());
     let alerts = Arc::new(AlertEngine::new(Arc::clone(&registry), Arc::clone(&tsdb)));
@@ -298,14 +302,14 @@ fn injected_feed_stall_drives_the_alert_loop_over_the_wire() {
             Arc::clone(&registry),
         )
         .with_engine_metrics(service.metrics_handle().expect("engine attached"))
-        .with_feed_status(follower.status())
+        .with_feed_status(feed.status())
         .with_self_monitor(Arc::clone(&tsdb), Arc::clone(&alerts)),
     );
     let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
     let addr = server.local_addr();
 
-    // The injection handle: the same gauge the follower publishes its
-    // lag through (same name + labels ⇒ same series). The test ticks
+    // The injection handle: the same gauge the feed publishes its
+    // max-across-collectors lag through (same name + labels ⇒ same series). The test ticks
     // the sampler and engine by hand — deterministic, no background
     // Sampler thread — at wall-clock-adjacent instants so the
     // real-time range query in /v1/series sees the points.
@@ -439,5 +443,131 @@ fn injected_feed_stall_drives_the_alert_loop_over_the_wire() {
     );
 
     server.shutdown();
-    follower.shutdown().expect("follower shutdown");
+    feed.shutdown().expect("feed shutdown");
+}
+
+/// A real stall across two collectors: `b` stops delivering while `a`
+/// keeps landing files, so the merge holds at `b`'s in-flight head and
+/// `a`'s lag climbs. The unlabelled `moas_feed_lag_seconds` — the
+/// series the `feed_lag` page rule watches — must carry the same
+/// max-across-collectors lag `/readyz` reads, and the rule must leave
+/// `ok`.
+#[test]
+fn stalled_collector_lag_reaches_the_page_alert() {
+    const STALL_DAYS: usize = 4;
+    let study = Study::build(StudyConfig::test(0.004));
+    let dates: Vec<Date> = study.world.window.all_days()[..STALL_DAYS]
+        .iter()
+        .map(|d| d.date())
+        .collect();
+    let base = tmp("stall2-archives");
+    std::fs::remove_dir_all(&base).ok();
+    let day_files: Vec<Vec<PathBuf>> = {
+        let mut collector = Collector::new(&study.world, &study.peers);
+        let mut sim = SimFederation::new(
+            &mut collector,
+            &base,
+            0,
+            STALL_DAYS,
+            BackgroundMode::Sample(15),
+            vec![
+                SimCollectorSpec::new("a"),
+                SimCollectorSpec::new("b").skewed(20),
+            ],
+        )
+        .expect("open sim federation");
+        assert_eq!(sim.write_all().expect("write archives"), STALL_DAYS);
+        sim.dirs()
+            .iter()
+            .map(|dir| {
+                let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+                    .expect("read archive")
+                    .map(|e| e.expect("entry").path())
+                    .collect();
+                files.sort();
+                files
+            })
+            .collect()
+    };
+    let live = tmp("stall2-live");
+    std::fs::remove_dir_all(&live).ok();
+    let live_dirs: Vec<PathBuf> = ["a", "b"].iter().map(|n| live.join(n)).collect();
+    for dir in &live_dirs {
+        std::fs::create_dir_all(dir).expect("live dir");
+    }
+    let land = |collector: usize, day: usize| {
+        let src = &day_files[collector][day];
+        std::fs::copy(src, live_dirs[collector].join(src.file_name().unwrap())).expect("land");
+    };
+
+    let service = open_service(&tmp("stall2-store"), dates[0]);
+    let registry = Arc::new(Registry::new());
+    let tsdb = Arc::new(Tsdb::default());
+    let alerts = AlertEngine::new(Arc::clone(&registry), Arc::clone(&tsdb));
+    let mut fed = Federation::open_with_registry(
+        FederationConfig::new(dates[0])
+            .collector("a", &live_dirs[0])
+            .collector("b", &live_dirs[1]),
+        Arc::clone(&service),
+        Arc::clone(&registry),
+    )
+    .expect("open federation");
+    let status = fed.status();
+    let feed_lag = || {
+        alerts
+            .report()
+            .into_iter()
+            .find(|r| r.name == "feed_lag")
+            .expect("standard feed_lag rule")
+            .state
+    };
+    let published = || {
+        tsdb.latest("moas_feed_lag_seconds", &[])
+            .map(|(_, v)| v)
+            .expect("the unlabelled lag series is sampled")
+    };
+    let mut now = unix_now().saturating_sub(80);
+    let mut tick = || {
+        tsdb.sample(&registry, now);
+        alerts.tick(now);
+        now += 10;
+    };
+
+    // Calm: nothing has landed, every collector is caught up.
+    for _ in 0..3 {
+        fed.poll_once().expect("poll");
+        tick();
+    }
+    assert_eq!(status.lag_seconds(), 0);
+    assert_eq!(published(), 0.0, "calm lag published unlabelled");
+    assert_eq!(feed_lag(), "ok", "calm feed");
+
+    // The stall: a delivers every day, b only its first, which it
+    // never finishes — the merge holds at b's in-flight head.
+    for day in 0..STALL_DAYS {
+        land(0, day);
+    }
+    land(1, 0);
+    while !fed.poll_once().expect("poll").caught_up {}
+    let stalled = status.lag_seconds();
+    assert!(
+        stalled >= 2 * 86_400,
+        "a's lag must climb behind b's barrier: {stalled}"
+    );
+    assert_eq!(
+        registry.value("moas_feed_lag_seconds", &[("collector", "a")]),
+        Some(stalled),
+        "the healthy collector carries the max"
+    );
+    tick();
+    assert_eq!(published(), stalled as f64, "the max reaches the tsdb");
+    assert_eq!(feed_lag(), "pending", "the stall leaves ok");
+    tick();
+    assert_eq!(feed_lag(), "firing");
+    assert_eq!(alerts.firing_page(), Some("feed_lag"));
+
+    fed.shutdown().expect("feed shutdown");
+    for dir in [&base, &live] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

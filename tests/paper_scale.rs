@@ -17,7 +17,7 @@ fn within(measured: f64, paper: f64, tolerance: f64) -> bool {
 }
 
 #[test]
-#[ignore = "paper-scale run (~1-2 min in release); see EXPERIMENTS.md"]
+#[ignore = "paper-scale run (~1-2 min in release); run with --ignored"]
 fn full_scale_reproduction() {
     let study = Study::build(StudyConfig::paper());
     let tl = study.analyze(

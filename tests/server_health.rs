@@ -6,7 +6,7 @@
 //! surface journaled operational events. All checks are wire-level —
 //! real sockets against a bound [`QueryServer`].
 
-use moas_feed::{FeedConfig, FeedFollower};
+use moas_feed::{Federation, FederationConfig};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig};
 use moas_lab::study::{Study, StudyConfig};
 use moas_net::Date;
@@ -174,16 +174,15 @@ fn readyz_flips_across_epoch_publish_and_feed_lag() {
         "503 must name the failing check: {body}"
     );
 
-    // Ingest the archive through a follower: day marks seal segments
+    // Ingest the archive through a one-collector feed: day marks seal segments
     // and publish epochs.
-    let follower = FeedFollower::open(
-        FeedConfig::new(&archive_dir, dates[0]),
+    let mut fed = Federation::open(
+        FederationConfig::new(dates[0]).collector("route-views", &archive_dir),
         Arc::clone(&service),
     )
-    .expect("open follower");
-    let mut follower = follower;
-    while !follower.poll_once().expect("poll").caught_up {}
-    follower.finalize().expect("finalize");
+    .expect("open feed");
+    while !fed.poll_once().expect("poll").caught_up {}
+    fed.finalize().expect("finalize");
     service.wait_idle();
 
     let (status, _, body) = get(addr, "/readyz");
@@ -202,7 +201,7 @@ fn readyz_flips_across_epoch_publish_and_feed_lag() {
     assert_eq!(status, 200, "lag back under the bound");
 
     server.shutdown();
-    follower.shutdown().expect("follower shutdown");
+    fed.shutdown().expect("feed shutdown");
 }
 
 /// One shared registry, one scrape: `/metrics` must cover monitor,
@@ -216,14 +215,14 @@ fn one_scrape_covers_the_whole_pipeline() {
     let service = open_service(&tmp("scrape-store"), dates[0]);
 
     let registry = Arc::new(Registry::new());
-    let mut follower = FeedFollower::open_with_registry(
-        FeedConfig::new(&archive_dir, dates[0]),
+    let mut fed = Federation::open_with_registry(
+        FederationConfig::new(dates[0]).collector("route-views", &archive_dir),
         Arc::clone(&service),
         Arc::clone(&registry),
     )
-    .expect("open follower");
-    while !follower.poll_once().expect("poll").caught_up {}
-    follower.finalize().expect("finalize");
+    .expect("open feed");
+    while !fed.poll_once().expect("poll").caught_up {}
+    fed.finalize().expect("finalize");
     service.wait_idle();
 
     let query = Arc::new(
@@ -237,7 +236,7 @@ fn one_scrape_covers_the_whole_pipeline() {
             Arc::clone(&registry),
         )
         .with_engine_metrics(service.metrics_handle().expect("engine attached"))
-        .with_feed_status(follower.status()),
+        .with_feed_status(fed.status()),
     );
     let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
     let addr = server.local_addr();
@@ -305,5 +304,5 @@ fn one_scrape_covers_the_whole_pipeline() {
     );
 
     server.shutdown();
-    follower.shutdown().expect("follower shutdown");
+    fed.shutdown().expect("feed shutdown");
 }

@@ -1,8 +1,8 @@
 //! Acceptance for replicated read-only serving: N `moas-serve`
 //! replicas over one manifest-rooted store, written by a single
-//! `FeedFollower`.
+//! one-collector `Federation`.
 //!
-//! * **Wire equivalence under live ingest:** while the follower
+//! * **Wire equivalence under live ingest:** while the feed
 //!   ingests and epochs advance, two `HistoryService::open_read_only`
 //!   replicas answer every `/v1` data route byte-identically to the
 //!   writer's own server — bodies and `ETag`s — at each refreshed
@@ -20,7 +20,7 @@
 //!   the same store republishes the writer's current epoch without a
 //!   single write.
 
-use moas_feed::{FeedConfig, FeedFollower};
+use moas_feed::{Federation, FederationConfig};
 use moas_history::{HistoryService, RetentionPolicy, ServiceConfig, ServiceRole};
 use moas_lab::study::{Study, StudyConfig};
 use moas_monitor::{MonitorConfig, MonitorEvent, SeqEvent};
@@ -186,21 +186,22 @@ fn replicas_serve_byte_identical_under_live_ingest() {
     let mut feed =
         SimFeed::new(&mut collector, &archive, 0, DAYS, BACKGROUND).expect("open sim feed");
 
-    // One writer ingesting via the feed follower; swaps happen
+    // One writer ingesting via the feed; swaps happen
     // synchronously on this thread (daemon: false), so after each
     // poll the manifest on disk IS the writer's published epoch.
     let store = fresh("store");
     let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
     assert_eq!(service.role(), ServiceRole::Writer);
-    let mut follower = FeedFollower::open(
-        FeedConfig {
+    let mut fed = Federation::open(
+        FederationConfig {
             monitor: MonitorConfig::with_shards(SHARDS),
             checkpoint_bytes: 1 << 16,
-            ..FeedConfig::new(&archive, dates[0])
-        },
+            ..FederationConfig::new(dates[0])
+        }
+        .collector("route-views", &archive),
         Arc::clone(&service),
     )
-    .expect("open follower");
+    .expect("open feed");
 
     let writer_query = Arc::new(
         QueryService::new(
@@ -228,14 +229,14 @@ fn replicas_serve_byte_identical_under_live_ingest() {
     let addrs = [writer_addr, addr_a, addr_b];
 
     // Phase 1: live ingest, one collector day at a time. After the
-    // follower drains each arrival, every epoch the writer swapped is
+    // feed drains each arrival, every epoch the writer swapped is
     // refreshed into both replicas and the wire answers must match.
     let reader = service.reader();
     let mut compared_epochs = 0u64;
     let mut last_epoch = reader.epoch();
     while let Some(_day) = feed.append_day().expect("append sim day") {
         for _ in 0..10_000 {
-            if follower.poll_once().expect("poll").caught_up {
+            if fed.poll_once().expect("poll").caught_up {
                 break;
             }
         }
@@ -250,11 +251,11 @@ fn replicas_serve_byte_identical_under_live_ingest() {
         }
     }
     for _ in 0..10_000 {
-        if follower.poll_once().expect("poll").caught_up {
+        if fed.poll_once().expect("poll").caught_up {
             break;
         }
     }
-    follower.finalize().expect("finalize");
+    fed.finalize().expect("finalize");
     assert!(
         compared_epochs >= 3,
         "ingest must swap (and replicas track) several epochs, saw {compared_epochs}"
@@ -456,7 +457,7 @@ fn replicas_serve_byte_identical_under_live_ingest() {
     writer_server.shutdown();
     server_a.shutdown();
     replica_a.close().expect("close replica a");
-    let (_cursor, _report) = follower.shutdown().expect("shutdown follower");
+    let (_cursor, _report) = fed.shutdown().expect("shutdown feed");
     drop(writer_query);
     Arc::try_unwrap(service)
         .ok()
