@@ -487,6 +487,14 @@ mod tests {
     }
 
     #[test]
+    fn surge_breach_floors_a_small_baseline_at_one() {
+        // Baseline 0.5 with factor 10: the threshold is 1 × 10, not 5.
+        assert!(!surge_breach(0.5, 6.0, 10.0));
+        assert!(!surge_breach(0.5, 10.0, 10.0));
+        assert!(surge_breach(0.5, 10.5, 10.0));
+    }
+
+    #[test]
     fn monitor_respects_allowlist() {
         let mut mon = MoasMonitor::new(5);
         let p: Prefix = "192.0.2.0/24".parse().unwrap();

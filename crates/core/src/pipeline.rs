@@ -6,7 +6,7 @@
 //! the window into contiguous chunks and runs one worker per scoped
 //! thread — CPU-bound batch work uses threads, not an async runtime.
 
-use crate::detect::{detect, DayObservation, TableSource};
+use crate::detect::{detect, DayObservation};
 use crate::timeline::Timeline;
 use moas_mrt::{snapshot::SnapshotBuilder, MrtReader};
 use moas_net::Date;
@@ -242,12 +242,6 @@ pub fn analyze_mrt_archive_parallel(
         return Err(e);
     }
     Ok((merged, skipped_total))
-}
-
-/// Convenience: detect over any [`TableSource`] (re-exported next to
-/// the drivers so callers need only this module).
-pub fn analyze_one(source: &impl TableSource) -> DayObservation {
-    detect(source)
 }
 
 #[cfg(test)]

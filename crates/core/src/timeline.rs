@@ -6,7 +6,7 @@
 //! not), daily conflict counts (Fig. 1), and daily class/mask-length
 //! histograms (Figs. 5 and 6).
 
-use crate::classify::{classify, ConflictClass};
+use crate::classify::classify;
 use crate::detect::DayObservation;
 use moas_net::{Asn, Date, Prefix};
 use serde::Serialize;
@@ -19,7 +19,8 @@ pub struct DailyStats {
     pub date: Date,
     /// Number of MOAS conflicts observed.
     pub conflict_count: u32,
-    /// Conflicts per §V class (indexed by [`ConflictClass::index`]).
+    /// Conflicts per §V class (indexed by
+    /// [`ConflictClass::index`](crate::classify::ConflictClass::index)).
     pub class_counts: [u32; 4],
     /// Conflicts per prefix length (index = mask length 0–32; IPv6
     /// lengths > 32 are clamped into the last bucket for this v4-era
@@ -228,23 +229,10 @@ impl Timeline {
     }
 }
 
-/// Convenience: the class-count array of one conflict set.
-pub fn class_histogram(obs: &DayObservation) -> [u32; 4] {
-    let mut counts = [0u32; 4];
-    for c in &obs.conflicts {
-        counts[classify(c).index()] += 1;
-    }
-    counts
-}
-
-/// Convenience: which class a histogram bucket belongs to.
-pub fn class_of_index(i: usize) -> ConflictClass {
-    ConflictClass::ALL[i]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::ConflictClass;
     use crate::detect::PrefixConflict;
     use moas_net::AsPath;
 

@@ -1496,6 +1496,28 @@ mod tests {
         assert_eq!(fold(&mut w, 1, 10_000, "192.0.2.0/24"), Folded::Released);
     }
 
+    #[test]
+    fn fold_dedups_a_copy_exactly_one_window_away() {
+        let mut engine = engine(3);
+        let mut w = DedupWindow::new(60, 3);
+        w.open_file(1_000);
+        let px = "192.0.2.0/24";
+        assert_eq!(
+            w.fold(&mut engine, 0, &frame(1_000, px, 7)),
+            Folded::Released
+        );
+        assert_eq!(
+            w.fold(&mut engine, 1, &frame(1_060, px, 7)),
+            Folded::Deduped,
+            "late by exactly the window"
+        );
+        assert_eq!(
+            w.fold(&mut engine, 2, &frame(940, px, 7)),
+            Folded::Deduped,
+            "early by exactly the window"
+        );
+    }
+
     /// A session that announces, withdraws and re-announces a prefix
     /// with the same attributes inside the window is flapping, not
     /// echoing: the re-announcement is released and the route

@@ -21,12 +21,12 @@
 //! daemon and concurrent validity readers stay active throughout the
 //! pass.
 //!
-//! One pass therefore yields everything at once: the day slices and
-//! §VII alarms of the monitor, real-time conflict durations, and a
-//! persistent event log whose compaction reproduces the batch
-//! timeline exactly (`tests/history_store.rs` pins `total_conflicts`
-//! and sorted `durations` against `analyze_mrt_archive` at multiple
-//! shard counts).
+//! One pass therefore yields everything at once: the §VII alarms of
+//! the monitor, real-time conflict durations, and a persistent event
+//! log whose compaction reproduces the batch timeline exactly
+//! (`tests/history_store.rs` pins `total_conflicts` and sorted
+//! `durations` against `analyze_mrt_archive` at multiple shard
+//! counts).
 
 use crate::service::HistoryService;
 use crate::store::HistoryStore;
@@ -66,7 +66,7 @@ impl StreamingArchiveConfig {
 /// What one streaming pass produced.
 #[derive(Debug)]
 pub struct StreamingArchiveReport {
-    /// The monitor's report: day slices, §VII alarms, counters. Its
+    /// The monitor's report: §VII alarms and counters. Its
     /// `events` list is empty — every lifecycle event was drained into
     /// the history store, which is the authoritative log.
     pub monitor: MonitorReport,

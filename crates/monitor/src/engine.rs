@@ -11,7 +11,7 @@
 use crate::event::{sort_log, SeqEvent};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::query::{MoasSnapshot, MonitorReport};
-use crate::shard::{run_shard, DaySlice, ShardMsg, ShardOutput, ShardSnapshot};
+use crate::shard::{run_shard, ShardMsg, ShardOutput, ShardSnapshot};
 use crate::state::{RouteUpdate, SessionKey, UpdateAction};
 use moas_bgp::BgpMessage;
 use moas_bgp::TableSnapshot;
@@ -110,8 +110,8 @@ impl MonitorConfig {
 ///
 /// Feed it BGP4MP update records ([`MonitorEngine::ingest_record`]) or
 /// whole table snapshots ([`MonitorEngine::seed_snapshot`]); mark day
-/// boundaries ([`MonitorEngine::mark_day`]) to take per-day
-/// observations in-stream; query the live MOAS set at any point
+/// boundaries ([`MonitorEngine::mark_day`]) to run the §VII detectors
+/// in-stream; query the live MOAS set at any point
 /// ([`MonitorEngine::snapshot`]); and [`MonitorEngine::finish`] to
 /// join the workers and collect the full [`MonitorReport`].
 pub struct MonitorEngine {
@@ -195,6 +195,16 @@ impl MonitorEngine {
         Arc::clone(&self.metrics)
     }
 
+    /// Rejects a collector id outside the configured vantage points,
+    /// which would otherwise be credited to another collector's bit.
+    fn check_collector(&self, collector: u16) {
+        assert!(
+            (collector as usize) < self.config.collectors,
+            "collector {collector} out of range: the engine has {} collectors",
+            self.config.collectors
+        );
+    }
+
     fn shard_of(&self, prefix: &Prefix) -> usize {
         let mut h = DefaultHasher::new();
         prefix.hash(&mut h);
@@ -260,7 +270,12 @@ impl MonitorEngine {
     /// [`moas_core::replay::record_instructions`] — the same
     /// definition the batch replayer applies, so the two pipelines
     /// cannot drift.
+    ///
+    /// # Panics
+    ///
+    /// If `collector` is not below [`MonitorConfig::collectors`].
     pub fn ingest_record_from(&mut self, collector: u16, record: &MrtRecord) {
+        self.check_collector(collector);
         EngineMetrics::add(&self.metrics.records_ingested, 1);
         let Some((session, instructions)) = record_instructions(record) else {
             EngineMetrics::add(&self.metrics.records_skipped, 1);
@@ -300,7 +315,12 @@ impl MonitorEngine {
     /// [`MonitorEngine::corroborate_record`] for a copy that was never
     /// decoded: `collector` saw, at its own timestamp `at`, the update
     /// `sighting` was taken from.
+    ///
+    /// # Panics
+    ///
+    /// If `collector` is not below [`MonitorConfig::collectors`].
     pub fn corroborate_at(&mut self, collector: u16, sighting: &Sighting, at: u32) {
+        self.check_collector(collector);
         for &(prefix, origin) in &sighting.announced {
             self.route(RouteUpdate {
                 session: sighting.session,
@@ -320,13 +340,15 @@ impl MonitorEngine {
     }
 
     /// Marks a day boundary: flushes all pending updates, asks every
-    /// shard to snapshot its slice for day position `idx` and run its
-    /// embedded new-origin detector over it, then aggregates the
-    /// shards' per-AS involvement counts and feeds the merged day to
-    /// the global §VII origin profiler — so surge alarms match the
-    /// batch profiler exactly at any shard count. The aggregation
-    /// waits for every shard to reach the mark (a barrier), which is
-    /// what makes the merged counts a consistent day snapshot.
+    /// shard to run its embedded new-origin detector over its open
+    /// conflicts for day position `idx`, then aggregates the shards'
+    /// per-AS involvement counts and feeds the merged day to the
+    /// global §VII origin profiler — so surge alarms match the batch
+    /// profiler exactly at any shard count. The aggregation waits for
+    /// every shard to reach the mark (a barrier), which is what makes
+    /// the merged counts a consistent day snapshot. Nothing is kept
+    /// per day; read [`MonitorEngine::snapshot`] after the mark for
+    /// the day's conflict set.
     pub fn mark_day(&mut self, idx: usize, date: Date) {
         self.flush();
         EngineMetrics::add(&self.metrics.day_marks, 1);
@@ -393,8 +415,8 @@ impl MonitorEngine {
     }
 
     /// Flushes, shuts the workers down, and collects the merged
-    /// report: the sorted event log, all day slices, in-stream alarms,
-    /// and final counters.
+    /// report: the sorted event log, in-stream alarms, and final
+    /// counters.
     pub fn finish(mut self) -> MonitorReport {
         self.flush();
         for tx in &self.senders {
@@ -403,7 +425,6 @@ impl MonitorEngine {
         drop(self.senders);
 
         let mut events: Vec<SeqEvent> = Vec::new();
-        let mut day_slices: Vec<DaySlice> = Vec::new();
         // Global surge alarms first, then the shards' new-origin
         // alarms; the stable sort below keeps that order within a day.
         let mut alarms: Vec<(usize, Anomaly)> = std::mem::take(&mut self.surge_alarms);
@@ -413,19 +434,16 @@ impl MonitorEngine {
         for handle in self.handles {
             let out = handle.join().expect("shard worker panicked");
             events.extend(out.log);
-            day_slices.extend(out.slices);
             alarms.extend(out.alarms);
             routes += out.routes;
             prefixes += out.prefixes;
             spurious += out.spurious_withdrawals;
         }
         sort_log(&mut events);
-        day_slices.sort_by_key(|s| (s.idx, s.shard));
         alarms.sort_by_key(|(idx, _)| *idx);
 
         MonitorReport {
             events,
-            day_slices,
             alarms,
             routes,
             prefixes,
@@ -492,5 +510,23 @@ mod tests {
             assert_eq!(Sighting::of(rec), Some(Sighting { session, announced }));
         }
         assert_eq!(Sighting::of(&records[0]).unwrap().announced.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "collector 1 out of range")]
+    fn ingest_rejects_an_out_of_range_collector() {
+        let mut engine = MonitorEngine::new(MonitorConfig::with_shards(1));
+        engine.ingest_record_from(1, &update("701 7", &["192.0.2.0/24"], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "collector 3 out of range")]
+    fn corroborate_rejects_an_out_of_range_collector() {
+        let mut engine = MonitorEngine::new(MonitorConfig {
+            collectors: 3,
+            ..MonitorConfig::with_shards(1)
+        });
+        let sighting = Sighting::of(&update("701 7", &["192.0.2.0/24"], &[])).unwrap();
+        engine.corroborate_at(3, &sighting, 1_000);
     }
 }

@@ -17,9 +17,10 @@
 //!   `OriginWithdrawn`, `ConflictClosed`.
 //! * [`shard`] — worker threads, each owning a prefix-hash slice of
 //!   the state plus an embedded `moas_core::detector::MoasMonitor`
-//!   (prefix-sharded, so its new-origin alarms are exact). At day
-//!   marks each shard also replies with its per-AS involvement
-//!   counts, which the engine sums into one global
+//!   (prefix-sharded, so its new-origin alarms are exact). At a day
+//!   mark each shard reads its open conflicts once: they feed that
+//!   detector, and their per-AS involvement counts go back to the
+//!   engine, which sums them into one global
 //!   `moas_core::detector::OriginProfiler` — surge alarms therefore
 //!   match the batch profiler exactly at any shard count.
 //! * [`engine`] — routing, per-peer batching, bounded channels with

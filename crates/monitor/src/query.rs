@@ -4,7 +4,7 @@
 
 use crate::event::{MonitorEvent, SeqEvent};
 use crate::metrics::MetricsSnapshot;
-use crate::shard::{DaySlice, ShardSnapshot};
+use crate::shard::ShardSnapshot;
 use crate::state::LiveConflict;
 use moas_core::detect::{DayObservation, PrefixConflict};
 use moas_core::detector::Anomaly;
@@ -80,9 +80,6 @@ impl MoasSnapshot {
 pub struct MonitorReport {
     /// The merged event log, in replay order.
     pub events: Vec<SeqEvent>,
-    /// Every shard's slice of every marked day, sorted by (day,
-    /// shard).
-    pub day_slices: Vec<DaySlice>,
     /// §VII alarms raised in-stream, tagged with day position.
     pub alarms: Vec<(usize, Anomaly)>,
     /// Final live-route count.
@@ -96,33 +93,6 @@ pub struct MonitorReport {
 }
 
 impl MonitorReport {
-    /// Reassembles the full [`DayObservation`] for a marked day by
-    /// merging every shard's slice. Sessions are renumbered per
-    /// conflict, so compare conflicts by `(prefix, origins)` against
-    /// batch `detect()` — those are exactly equal; path session ids
-    /// are not meaningful across the two pipelines.
-    pub fn day_observation(&self, idx: usize) -> Option<DayObservation> {
-        let slices: Vec<&DaySlice> = self.day_slices.iter().filter(|s| s.idx == idx).collect();
-        if slices.is_empty() {
-            return None;
-        }
-        let mut obs = DayObservation {
-            date: Some(slices[0].date),
-            ..DayObservation::default()
-        };
-        for slice in slices {
-            let part = slice.to_observation();
-            obs.conflicts.extend(part.conflicts);
-            obs.as_set_prefixes.extend(part.as_set_prefixes);
-            obs.total_prefixes += part.total_prefixes;
-            obs.empty_path_routes += part.empty_path_routes;
-            obs.total_routes += part.total_routes;
-        }
-        obs.conflicts.sort_by_key(|c| c.prefix);
-        obs.as_set_prefixes.sort_by_key(|(p, _)| *p);
-        Some(obs)
-    }
-
     /// Real-time durations (seconds) of all closed conflicts.
     pub fn closed_durations(&self) -> Vec<u32> {
         self.events
@@ -332,6 +302,24 @@ mod tests {
             0,
             "close must not be resorted before its open"
         );
+    }
+
+    #[test]
+    fn event_at_a_cut_falls_in_the_next_day() {
+        // Day 0's cut is 86 400: an open stamped exactly there is
+        // after day 0's snapshot instant, so only day 1 counts it.
+        let dates: Vec<Date> = (0..2).map(|i| Date::ymd(1970, 1, 1).plus_days(i)).collect();
+        let events = vec![ev(
+            0,
+            0,
+            MonitorEvent::ConflictOpened {
+                prefix: prefix(),
+                origins: origins(),
+                at: 86_400,
+            },
+        )];
+        let tl = fold_events_into_timeline(&events, &dates, 2);
+        assert_eq!(tl.durations(), vec![1]);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! Workers consume batched route updates from a bounded channel
 //! (blocking the producer when full — backpressure, not unbounded
 //! queues), apply them to their [`ShardState`], log the lifecycle
-//! events, and answer control messages: day marks (snapshot the
-//! shard's slice for the day, feed the embedded §VII detectors) and
-//! epoch queries (report the current MOAS set without stopping
-//! ingestion).
+//! events, and answer control messages: day marks (count the day's
+//! per-AS conflict involvement and feed the embedded §VII new-origin
+//! detector) and epoch queries (report the current MOAS set without
+//! stopping ingestion).
 
 use crate::event::{MonitorEvent, SeqEvent};
 use crate::metrics::EngineMetrics;
-use crate::state::{LiveConflict, RouteUpdate, SetExcludedPrefix, ShardState};
+use crate::state::{LiveConflict, RouteUpdate, ShardState};
 use moas_core::detect::{DayObservation, PrefixConflict};
 use moas_core::detector::{Anomaly, MoasMonitor};
 use moas_net::{Asn, Date};
@@ -25,10 +25,10 @@ pub enum ShardMsg {
     /// the engine flushed the batch — the shard's `shard_apply` span
     /// attaches there, so one trace id crosses the channel.
     Batch(Vec<RouteUpdate>, SpanContext),
-    /// Day boundary: snapshot this shard's slice as a [`DaySlice`],
-    /// run the embedded new-origin detector over it, and reply with
-    /// this shard's per-AS conflict-involvement counts so the engine
-    /// can aggregate them across shards for the §VII origin profiler.
+    /// Day boundary: run the embedded new-origin detector over this
+    /// shard's open conflicts, and reply with their per-AS
+    /// involvement counts so the engine can aggregate them across
+    /// shards for the §VII origin profiler.
     DayMark {
         /// Snapshot-day position in the study window.
         idx: usize,
@@ -45,61 +45,6 @@ pub enum ShardMsg {
     Drain(mpsc::Sender<Vec<SeqEvent>>),
     /// Drain and exit.
     Shutdown,
-}
-
-/// One shard's contribution to a day's observation.
-#[derive(Debug, Clone)]
-pub struct DaySlice {
-    /// Which shard produced the slice.
-    pub shard: usize,
-    /// Snapshot-day position.
-    pub idx: usize,
-    /// The day's date.
-    pub date: Date,
-    /// Conflicts open at the mark (prefix order).
-    pub conflicts: Vec<LiveConflict>,
-    /// Prefixes excluded by AS-set routes at the mark.
-    pub set_excluded: Vec<SetExcludedPrefix>,
-    /// Distinct prefixes with live routes in this shard.
-    pub total_prefixes: usize,
-    /// Live routes in this shard.
-    pub total_routes: u64,
-    /// Live routes with no extractable origin.
-    pub empty_path_routes: u64,
-}
-
-impl DaySlice {
-    /// Renders the slice as a [`DayObservation`] over this shard's
-    /// prefixes only (sessions are renumbered per conflict; `detect()`
-    /// semantics otherwise).
-    pub fn to_observation(&self) -> DayObservation {
-        DayObservation {
-            date: Some(self.date),
-            conflicts: self
-                .conflicts
-                .iter()
-                .map(|c| PrefixConflict {
-                    prefix: c.prefix,
-                    origins: c.origins.clone(),
-                    paths: c
-                        .paths
-                        .iter()
-                        .cloned()
-                        .enumerate()
-                        .map(|(i, p)| (i as u16, p))
-                        .collect(),
-                })
-                .collect(),
-            as_set_prefixes: self
-                .set_excluded
-                .iter()
-                .map(|e| (e.prefix, e.members.clone()))
-                .collect(),
-            total_prefixes: self.total_prefixes,
-            empty_path_routes: self.empty_path_routes as usize,
-            total_routes: self.total_routes as usize,
-        }
-    }
 }
 
 /// A shard's answer to an epoch query.
@@ -126,8 +71,6 @@ pub struct ShardOutput {
     pub shard: usize,
     /// The shard's full event log (seq order).
     pub log: Vec<SeqEvent>,
-    /// Day slices, one per day mark.
-    pub slices: Vec<DaySlice>,
     /// §VII alarms raised in-stream, tagged with the day position of
     /// the mark that triggered them.
     pub alarms: Vec<(usize, Anomaly)>,
@@ -141,9 +84,9 @@ pub struct ShardOutput {
 
 /// Runs one shard worker until [`ShardMsg::Shutdown`].
 ///
-/// The embedded [`MoasMonitor`] sees this shard's slice of each day —
-/// prefix-sharded, so its `NewOrigin` alarms are exact at any shard
-/// count. Origin-surge profiling is *not* per-shard: each day mark
+/// The embedded [`MoasMonitor`] sees this shard's open conflicts at
+/// each day mark — prefix-sharded, so its `NewOrigin` alarms are exact
+/// at any shard count. Origin-surge profiling is *not* per-shard: each day mark
 /// replies with this shard's involvement counts and the engine runs
 /// one global [`moas_core::detector::OriginProfiler`] over their sum,
 /// which makes surge alarms exactly match the batch profiler.
@@ -156,7 +99,6 @@ pub fn run_shard(
 ) -> ShardOutput {
     let mut state = ShardState::with_collectors(collectors);
     let mut log: Vec<SeqEvent> = Vec::new();
-    let mut slices: Vec<DaySlice> = Vec::new();
     let mut alarms: Vec<(usize, Anomaly)> = Vec::new();
     let mut moas_monitor = MoasMonitor::new(accept_after);
     let mut seq: u64 = 0;
@@ -215,21 +157,12 @@ pub fn run_shard(
                 date,
                 involvement,
             } => {
-                let slice = DaySlice {
-                    shard,
-                    idx,
-                    date,
-                    conflicts: state.open_conflicts(),
-                    set_excluded: state.set_excluded(),
-                    total_prefixes: state.prefix_count(),
-                    total_routes: state.route_count(),
-                    empty_path_routes: state.empty_path_routes(),
-                };
+                let open = state.open_conflicts();
                 // Per-AS involvement over this shard's slice; counts
                 // are integers, so the engine's cross-shard sum equals
                 // `involvement_by_origin` over the merged day exactly.
                 let mut counts: BTreeMap<Asn, u32> = BTreeMap::new();
-                for c in &slice.conflicts {
+                for c in &open {
                     for o in &c.origins {
                         *counts.entry(*o).or_default() += 1;
                     }
@@ -237,11 +170,22 @@ pub fn run_shard(
                 // A vanished engine is shutdown in progress, not a
                 // shard failure.
                 let _ = involvement.send(counts.into_iter().collect());
-                let obs = slice.to_observation();
+                // The new-origin detector reads only prefixes and origins.
+                let obs = DayObservation {
+                    date: Some(date),
+                    conflicts: open
+                        .into_iter()
+                        .map(|c| PrefixConflict {
+                            prefix: c.prefix,
+                            origins: c.origins,
+                            paths: Vec::new(),
+                        })
+                        .collect(),
+                    ..DayObservation::default()
+                };
                 for a in moas_monitor.observe(&obs) {
                     alarms.push((idx, a));
                 }
-                slices.push(slice);
             }
             ShardMsg::Drain(reply) => {
                 let _ = reply.send(std::mem::take(&mut log));
@@ -267,7 +211,6 @@ pub fn run_shard(
     ShardOutput {
         shard,
         log,
-        slices,
         alarms,
         routes: state.route_count(),
         prefixes: state.prefix_count(),

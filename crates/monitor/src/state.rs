@@ -48,26 +48,18 @@ pub enum UpdateAction {
     Corroborate(Asn),
 }
 
-/// The route one session currently holds for a prefix.
-#[derive(Debug, Clone)]
-struct HeldRoute {
-    origin: Origin,
-    path: AsPath,
-}
-
 /// Live state for one prefix.
 ///
-/// Invariant: `single_origins[o]` is the number of sessions whose
-/// current route for this prefix has single origin `o`; `set_routes`
-/// and `none_routes` count sessions holding AS-set-terminated and
-/// empty-path routes. The prefix is in conflict iff `set_routes == 0`
-/// and `single_origins.len() >= 2`.
+/// Invariant: `routes` holds the origin of each session's current
+/// route for this prefix; `single_origins[o]` is the number of those
+/// with single origin `o`, and `set_routes` counts the
+/// AS-set-terminated ones. The prefix is in conflict iff
+/// `set_routes == 0` and `single_origins.len() >= 2`.
 #[derive(Debug, Default)]
 struct PrefixState {
-    routes: HashMap<SessionKey, HeldRoute>,
+    routes: HashMap<SessionKey, Origin>,
     single_origins: HashMap<Asn, u32>,
     set_routes: u32,
-    none_routes: u32,
     /// Set while a conflict is open: the opening timestamp.
     open_since: Option<u32>,
 }
@@ -85,8 +77,8 @@ impl PrefixState {
 
     /// Removes one session's contribution from the counters. Returns
     /// the single origin whose count dropped to zero, if any.
-    fn drop_route(&mut self, held: &HeldRoute) -> Option<Asn> {
-        match &held.origin {
+    fn drop_route(&mut self, origin: &Origin) -> Option<Asn> {
+        match origin {
             Origin::Single(o) => {
                 let n = self
                     .single_origins
@@ -103,17 +95,14 @@ impl PrefixState {
                 self.set_routes -= 1;
                 None
             }
-            Origin::None => {
-                self.none_routes -= 1;
-                None
-            }
+            Origin::None => None,
         }
     }
 
     /// Adds one session's contribution. Returns the single origin that
     /// newly appeared, if any.
-    fn add_route(&mut self, held: &HeldRoute) -> Option<Asn> {
-        match &held.origin {
+    fn add_route(&mut self, origin: &Origin) -> Option<Asn> {
+        match origin {
             Origin::Single(o) => {
                 let n = self.single_origins.entry(*o).or_insert(0);
                 *n += 1;
@@ -123,36 +112,20 @@ impl PrefixState {
                 self.set_routes += 1;
                 None
             }
-            Origin::None => {
-                self.none_routes += 1;
-                None
-            }
+            Origin::None => None,
         }
     }
 }
 
-/// An open conflict, as reported by snapshots and day slices.
+/// An open conflict, as reported by snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveConflict {
     /// The conflicted prefix.
     pub prefix: Prefix,
     /// Distinct origins currently held (sorted).
     pub origins: Vec<Asn>,
-    /// Distinct AS paths currently held by sessions with single
-    /// origins (deduplicated, like `detect()`'s path list).
-    pub paths: Vec<AsPath>,
     /// When the conflict opened (update-stream timestamp).
     pub opened_at: u32,
-}
-
-/// A prefix excluded from conflict accounting by an AS-set route.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetExcludedPrefix {
-    /// The excluded prefix.
-    pub prefix: Prefix,
-    /// Union of AS-set members across its set-terminated routes
-    /// (sorted).
-    pub members: Vec<Asn>,
 }
 
 /// The full origin state owned by one shard.
@@ -190,11 +163,13 @@ impl ShardState {
 
     /// Sets bit `collector` in the `(prefix, origin)` vantage mask.
     /// Returns the new cumulative mask if the bit was not already set.
+    /// `collector` is below `MonitorConfig::collectors` (at most 64):
+    /// the engine rejects any other id before routing the update.
     fn widen_mask(&mut self, prefix: Prefix, origin: Asn, collector: u16) -> Option<u64> {
         if !self.track_corroboration {
             return None;
         }
-        let bit = 1u64 << (collector as u64 % 64);
+        let bit = 1u64 << collector;
         let mask = self.masks.entry((prefix, origin)).or_insert(0);
         if *mask & bit != 0 {
             return None;
@@ -247,17 +222,14 @@ impl ShardState {
 
         match &update.action {
             UpdateAction::Announce(path) => {
-                let held = HeldRoute {
-                    origin: path.origin(),
-                    path: path.clone(),
-                };
+                let origin = path.origin();
                 if let Some(old) = st.routes.remove(&update.session) {
                     removed = st.drop_route(&old);
                 } else {
                     self.live_routes += 1;
                 }
-                added = st.add_route(&held);
-                st.routes.insert(update.session, held);
+                added = st.add_route(&origin);
+                st.routes.insert(update.session, origin);
             }
             UpdateAction::Withdraw => match st.routes.remove(&update.session) {
                 Some(old) => {
@@ -399,9 +371,9 @@ impl ShardState {
     /// Approximate retained bytes of this shard's origin state — the
     /// input behind `moas_shard_state_bytes{shard=...}` and the
     /// `moas_resource_bytes{component="shard_state"}` ledger. Container
-    /// geometry (entries × struct sizes plus per-route path hops), not
-    /// an allocator measurement; O(prefixes + routes), so callers
-    /// publish it on a coarse cadence, not per update.
+    /// geometry (entries × struct sizes), not an allocator measurement;
+    /// O(prefixes), so callers publish it on a coarse cadence, not per
+    /// update.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut total = size_of::<ShardState>() as u64;
@@ -409,17 +381,9 @@ impl ShardState {
         for state in self.prefixes.values() {
             total += (size_of::<Prefix>() + size_of::<PrefixState>()) as u64;
             total += (state.single_origins.len() * (size_of::<Asn>() + size_of::<u32>())) as u64;
-            for held in state.routes.values() {
-                total += (size_of::<SessionKey>() + size_of::<HeldRoute>()) as u64
-                    + (held.path.hop_count() * size_of::<Asn>()) as u64;
-            }
+            total += (state.routes.len() * (size_of::<SessionKey>() + size_of::<Origin>())) as u64;
         }
         total
-    }
-
-    /// Live routes whose path has no extractable origin.
-    pub fn empty_path_routes(&self) -> u64 {
-        self.prefixes.values().map(|p| p.none_routes as u64).sum()
     }
 
     /// The currently open conflicts (prefix order).
@@ -431,53 +395,12 @@ impl ShardState {
             .map(|(prefix, st)| LiveConflict {
                 prefix: *prefix,
                 origins: st.sorted_origins(),
-                paths: dedup_paths(st),
                 opened_at: st.open_since.expect("open conflict has open_since"),
             })
             .collect();
         out.sort_by_key(|c| c.prefix);
         out
     }
-
-    /// Prefixes currently excluded by AS-set routes, with member
-    /// unions (prefix order) — the streaming counterpart of
-    /// `DayObservation::as_set_prefixes`.
-    pub fn set_excluded(&self) -> Vec<SetExcludedPrefix> {
-        let mut out: Vec<SetExcludedPrefix> = self
-            .prefixes
-            .iter()
-            .filter(|(_, st)| st.set_routes > 0)
-            .map(|(prefix, st)| {
-                let mut members: Vec<Asn> = Vec::new();
-                for held in st.routes.values() {
-                    if let Origin::Set(set) = &held.origin {
-                        for m in set {
-                            if !members.contains(m) {
-                                members.push(*m);
-                            }
-                        }
-                    }
-                }
-                members.sort_unstable();
-                SetExcludedPrefix {
-                    prefix: *prefix,
-                    members,
-                }
-            })
-            .collect();
-        out.sort_by_key(|e| e.prefix);
-        out
-    }
-}
-
-fn dedup_paths(st: &PrefixState) -> Vec<AsPath> {
-    let mut paths: Vec<AsPath> = Vec::new();
-    for held in st.routes.values() {
-        if matches!(held.origin, Origin::Single(_)) && !paths.contains(&held.path) {
-            paths.push(held.path.clone());
-        }
-    }
-    paths
 }
 
 #[cfg(test)]
@@ -590,9 +513,6 @@ mod tests {
         let ev = st.apply(&announce(sess(3, 3561), "192.0.2.0/24", "3561 {7,9}", 2));
         assert!(matches!(&ev[0], MonitorEvent::ConflictClosed { .. }));
         assert!(st.open_conflicts().is_empty());
-        let excluded = st.set_excluded();
-        assert_eq!(excluded.len(), 1);
-        assert_eq!(excluded[0].members, vec![Asn::new(7), Asn::new(9)]);
         // Withdrawing the set route reopens the conflict.
         let ev = st.apply(&withdraw(sess(3, 3561), "192.0.2.0/24", 3));
         assert!(matches!(&ev[0], MonitorEvent::ConflictOpened { at: 3, .. }));
@@ -606,17 +526,6 @@ mod tests {
             .is_empty());
         assert_eq!(st.spurious_withdrawals(), 1);
         assert_eq!(st.prefix_count(), 0);
-    }
-
-    #[test]
-    fn duplicate_paths_deduplicated_in_live_conflict() {
-        let mut st = ShardState::new();
-        st.apply(&announce(sess(1, 701), "192.0.2.0/24", "100 7", 0));
-        st.apply(&announce(sess(2, 1239), "192.0.2.0/24", "100 7", 1));
-        st.apply(&announce(sess(3, 3561), "192.0.2.0/24", "200 9", 2));
-        let open = st.open_conflicts();
-        assert_eq!(open.len(), 1);
-        assert_eq!(open[0].paths.len(), 2, "identical paths folded");
     }
 
     #[test]

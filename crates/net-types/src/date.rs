@@ -31,11 +31,6 @@ impl DayIndex {
         Date::from_day_index(self)
     }
 
-    /// Days elapsed from `earlier` to `self` (can be negative).
-    pub fn days_since(self, earlier: DayIndex) -> i64 {
-        self.0 - earlier.0
-    }
-
     /// ISO weekday, 1 = Monday … 7 = Sunday.
     pub fn weekday(self) -> u8 {
         // 1970-01-01 was a Thursday (ISO weekday 4).
@@ -184,16 +179,6 @@ impl Date {
         let start = self.day_index().0;
         let stop = end.day_index().0;
         (start..=stop).map(|i| Date::from_day_index(DayIndex(i)))
-    }
-
-    /// January 1st of this date's year.
-    pub fn year_start(&self) -> Date {
-        Date::ymd(self.year, 1, 1)
-    }
-
-    /// Whether the date's year is a leap year.
-    pub fn is_leap_year(&self) -> bool {
-        is_leap(self.year)
     }
 }
 

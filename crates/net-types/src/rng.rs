@@ -111,11 +111,6 @@ impl DetRng {
         result
     }
 
-    /// The next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. Returns 0 for `bound == 0`.
     /// Uses widening-multiply rejection (Lemire) — unbiased.
     pub fn below(&mut self, bound: u64) -> u64 {
@@ -145,11 +140,6 @@ impl DetRng {
             return self.next_u64();
         }
         lo + self.below(hi - lo + 1)
-    }
-
-    /// Uniform integer in `[lo, hi]` inclusive over `usize`.
-    pub fn usize_range(&mut self, lo: usize, hi: usize) -> usize {
-        self.range_inclusive(lo as u64, hi as u64) as usize
     }
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
@@ -224,12 +214,6 @@ impl DetRng {
             let x = self.normal_with(lambda, lambda.sqrt());
             x.round().max(0.0) as u64
         }
-    }
-
-    /// Exponential with the given mean (inversion method).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.f64();
-        -mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()
     }
 
     /// Pareto (power-law) draw with scale `x_min` and shape `alpha`.

@@ -184,12 +184,6 @@ pub mod incidents {
     pub fn fault_2001_end() -> Date {
         Date::ymd(2001, 4, 10)
     }
-
-    /// The 1997 AS 7007 incident (predates the window; referenced as
-    /// prior art).
-    pub fn fault_1997() -> Date {
-        Date::ymd(1997, 4, 25)
-    }
 }
 
 #[cfg(test)]

@@ -55,18 +55,32 @@ fn window_dates(study: &Study) -> Vec<Date> {
         .collect()
 }
 
-fn run_monitor_with(study: &Study, config: MonitorConfig) -> moas_monitor::MonitorReport {
+/// Runs the engine over the window; returns its report and the live
+/// conflict set read right after each day mark.
+fn run_monitor_with(
+    study: &Study,
+    config: MonitorConfig,
+) -> (moas_monitor::MonitorReport, Vec<ConflictSet>) {
     let mut collector = Collector::new(&study.world, &study.peers);
     let mut engine = MonitorEngine::new(config);
+    let mut daily_sets = Vec::new();
     let mut stream = WindowStream::new(&mut collector, START, START + DAYS, BACKGROUND);
     for day in &mut stream {
         engine.ingest_all(&day.records);
         engine.mark_day(day.idx - START, day.snapshot.date);
+        daily_sets.push(
+            engine
+                .snapshot()
+                .open_conflicts()
+                .into_iter()
+                .map(|c| (c.prefix, c.origins))
+                .collect(),
+        );
     }
-    engine.finish()
+    (engine.finish(), daily_sets)
 }
 
-fn run_monitor(study: &Study, shards: usize) -> moas_monitor::MonitorReport {
+fn run_monitor(study: &Study, shards: usize) -> (moas_monitor::MonitorReport, Vec<ConflictSet>) {
     run_monitor_with(study, MonitorConfig::with_shards(shards))
 }
 
@@ -81,7 +95,7 @@ fn streaming_batch_equivalence_across_shard_counts() {
     );
 
     for shards in [1usize, 4, 8] {
-        let report = run_monitor(&study, shards);
+        let (report, monitor_daily) = run_monitor(&study, shards);
 
         // (1) Event log folded into a Timeline matches batch exactly.
         let folded = report.fold_into_timeline(&dates, DAYS);
@@ -100,16 +114,9 @@ fn streaming_batch_equivalence_across_shard_counts() {
         );
 
         // (2) Every marked day's merged conflict set equals detect().
-        for (i, batch_set) in batch_daily.iter().enumerate() {
-            let obs = report
-                .day_observation(i)
-                .expect("every marked day has slices");
-            let monitor_set: ConflictSet = obs
-                .conflicts
-                .iter()
-                .map(|c| (c.prefix, c.origins.clone()))
-                .collect();
-            assert_eq!(&monitor_set, batch_set, "day {i} at {shards} shards");
+        assert_eq!(monitor_daily.len(), batch_daily.len());
+        for (i, (monitor_set, batch_set)) in monitor_daily.iter().zip(&batch_daily).enumerate() {
+            assert_eq!(monitor_set, batch_set, "day {i} at {shards} shards");
         }
     }
 }
@@ -151,7 +158,7 @@ fn origin_surge_alarms_match_batch_profiler() {
             profiler: profiler_config,
             ..MonitorConfig::with_shards(shards)
         };
-        let report = run_monitor_with(&study, config);
+        let (report, _) = run_monitor_with(&study, config);
         let monitor_surges: Vec<(usize, Anomaly)> = report
             .alarms
             .iter()
@@ -168,7 +175,7 @@ fn origin_surge_alarms_match_batch_profiler() {
 #[test]
 fn monitor_emits_real_time_durations_and_metrics() {
     let study = study();
-    let report = run_monitor(&study, 4);
+    let (report, _) = run_monitor(&study, 4);
 
     // The stream window must have produced lifecycle events, and every
     // close must postdate its open.
