@@ -1,4 +1,4 @@
-//! # moas-bgp — BGP-4 wire formats, RIBs, decision process, policy
+//! # moas-bgp — BGP-4 wire formats, RIBs, policy
 //!
 //! The substrate underneath the MOAS study: everything the paper takes
 //! for granted about "BGP routes" is implemented here.
@@ -10,12 +10,10 @@
 //!   ATOMIC_AGGREGATE, AGGREGATOR, COMMUNITIES, MP_REACH/MP_UNREACH.
 //! * [`nlri`] — prefix encoding as used by UPDATE and the MRT formats.
 //! * [`route`] — the attribute-complete [`route::Route`] type.
-//! * [`rib`] — Adj-RIB-In / Loc-RIB structures plus [`rib::TableSnapshot`],
+//! * [`rib`] — the Adj-RIB-In plus [`rib::TableSnapshot`],
 //!   the "routing table dump" type the whole analysis pipeline consumes
 //!   (it is exactly what a Route Views table archive contains: a list of
 //!   (peer, prefix, AS path) entries for one day).
-//! * [`decision`] — the BGP best-path decision process
-//!   (LocalPref → AS-path length → Origin → MED → tie-break).
 //! * [`policy`] — Gao-Rexford relationships and valley-free export
 //!   rules, used by the topology substrate to synthesize realistic paths.
 //!
@@ -27,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod attrs;
-pub mod decision;
 pub mod error;
 pub mod message;
 pub mod nlri;

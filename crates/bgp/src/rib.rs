@@ -6,7 +6,6 @@
 //! produces them, the MRT crate serializes them, and the MOAS analyzer
 //! consumes them.
 
-use crate::decision::{self, DecisionConfig};
 use crate::route::Route;
 use moas_net::trie::PrefixMap;
 use moas_net::{AsPath, Asn, Date, Prefix};
@@ -197,64 +196,6 @@ impl AdjRibIn {
     }
 }
 
-/// A Loc-RIB holding all candidate routes per prefix and electing a
-/// best path with the BGP decision process.
-#[derive(Debug, Clone)]
-pub struct LocRib {
-    /// Candidates per prefix: (peer index, route).
-    candidates: PrefixMap<Vec<(u16, Route)>>,
-    config: DecisionConfig,
-}
-
-impl LocRib {
-    /// Creates an empty Loc-RIB with the given decision configuration.
-    pub fn new(config: DecisionConfig) -> Self {
-        LocRib {
-            candidates: PrefixMap::new(),
-            config,
-        }
-    }
-
-    /// Inserts or replaces the candidate from `peer_idx` for the
-    /// route's prefix.
-    pub fn upsert(&mut self, peer_idx: u16, route: Route) {
-        let slot = self.candidates.get_or_insert_with(route.prefix, Vec::new);
-        match slot.iter_mut().find(|(p, _)| *p == peer_idx) {
-            Some(entry) => entry.1 = route,
-            None => slot.push((peer_idx, route)),
-        }
-    }
-
-    /// Removes the candidate from `peer_idx` for `prefix`.
-    pub fn remove(&mut self, peer_idx: u16, prefix: &Prefix) {
-        if let Some(slot) = self.candidates.get_mut(prefix) {
-            slot.retain(|(p, _)| *p != peer_idx);
-        }
-    }
-
-    /// The best route for a prefix under the decision process.
-    pub fn best(&self, prefix: &Prefix) -> Option<&Route> {
-        let slot = self.candidates.get(prefix)?;
-        decision::best_index(slot, &self.config).map(|i| &slot[i].1)
-    }
-
-    /// All candidates for a prefix.
-    pub fn all(&self, prefix: &Prefix) -> &[(u16, Route)] {
-        self.candidates
-            .get(prefix)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Number of prefixes with at least one candidate.
-    pub fn prefix_count(&self) -> usize {
-        self.candidates
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,26 +279,5 @@ mod tests {
         assert_eq!(rib.withdraw(&"10.0.0.0/8".parse().unwrap()), Some(r2));
         assert!(rib.is_empty());
         assert!(rib.withdraw(&"10.0.0.0/8".parse().unwrap()).is_none());
-    }
-
-    #[test]
-    fn loc_rib_elects_shorter_path() {
-        let mut rib = LocRib::new(DecisionConfig::default());
-        let p: Prefix = "10.0.0.0/8".parse().unwrap();
-        rib.upsert(0, Route::new(p, "1 2 3 4".parse().unwrap()));
-        rib.upsert(1, Route::new(p, "5 6".parse().unwrap()));
-        assert_eq!(rib.best(&p).unwrap().path, "5 6".parse().unwrap());
-        rib.remove(1, &p);
-        assert_eq!(rib.best(&p).unwrap().path, "1 2 3 4".parse().unwrap());
-        assert_eq!(rib.prefix_count(), 1);
-    }
-
-    #[test]
-    fn loc_rib_upsert_replaces_same_peer() {
-        let mut rib = LocRib::new(DecisionConfig::default());
-        let p: Prefix = "10.0.0.0/8".parse().unwrap();
-        rib.upsert(0, Route::new(p, "1 2".parse().unwrap()));
-        rib.upsert(0, Route::new(p, "1 3".parse().unwrap()));
-        assert_eq!(rib.all(&p).len(), 1);
     }
 }

@@ -10,8 +10,7 @@
 //! completely disjoint AS sets.
 //!
 //! This is the one analysis in the workspace that genuinely needs the
-//! radix trie — exact-match hash maps cannot answer covering queries
-//! (see the `exact_lookup` vs `relational_queries` ablation bench).
+//! radix trie — exact-match hash maps cannot answer covering queries.
 
 use crate::detect::TableSource;
 use moas_net::trie::RadixTrie;

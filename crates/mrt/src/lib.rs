@@ -13,8 +13,8 @@
 //! * **TABLE_DUMP_V2** (type 13) — `PEER_INDEX_TABLE` +
 //!   `RIB_IPV4_UNICAST`/`RIB_IPV6_UNICAST`: one record per prefix with
 //!   all peer entries, as modern Route Views files are written. Both
-//!   directions (read/write) are implemented so the ablation bench can
-//!   compare archive size and parse cost across formats.
+//!   directions (read/write) are implemented, so archive size and
+//!   parse cost can be compared across formats.
 //! * **BGP4MP** (type 16) — wrapped BGP messages and state changes,
 //!   used for update-stream replay tests.
 //!

@@ -348,8 +348,7 @@ mod tests {
 
     #[test]
     fn v2_archive_is_smaller_than_v1_for_shared_prefixes() {
-        // The dedup win that motivated TABLE_DUMP_V2 — also the basis
-        // of the format ablation bench.
+        // The dedup win that motivated TABLE_DUMP_V2.
         let mut snap = TableSnapshot::new(Date::ymd(2001, 1, 1));
         let peers: Vec<u16> = (0..20)
             .map(|i| {

@@ -14,8 +14,7 @@
 //! per bit, max depth 32/128). For the table sizes of the study era
 //! (~10⁵ prefixes) this is fast, allocation-friendly, and — in the
 //! spirit of the smoltcp design goals — simple enough to be obviously
-//! correct. An ablation bench (`bench_trie_vs_hash`) quantifies the
-//! trade-off against a hash map for exact lookups.
+//! correct.
 
 use crate::prefix::{Ipv4Prefix, Ipv6Prefix, Prefix};
 

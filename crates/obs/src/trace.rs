@@ -8,7 +8,7 @@
 //! of one HTTP request through parse → route → serialize. Spans are
 //! cheap: a sampled span takes two clock reads and one uncontended
 //! per-slot lock on finish; an *unsampled* span takes a single atomic
-//! load and records nothing (the bench gate pins both paths).
+//! load and records nothing.
 //!
 //! Sampling is head-based: the root decides once (1-in-N) and every
 //! child inherits the decision through its [`SpanContext`], so a trace

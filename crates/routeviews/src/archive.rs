@@ -112,7 +112,7 @@ pub struct AppendedDay {
 
 /// A simulated live collector: appends one dated BGP4MP update file
 /// per study-window day into a directory, in timestamp order — the
-/// load generator a feed follower tails in tests and benches.
+/// load generator a feed follower tails in tests.
 ///
 /// Feed pathologies are first-class: [`SimFeed::begin_day`] leaves a
 /// day's file truncated mid-record (an in-flight upload) until
@@ -251,8 +251,8 @@ impl<'c, 'w> SimFeed<'c, 'w> {
     }
 
     /// Appends one day per `interval` tick until the window is
-    /// exhausted or `stop` flips — the timer shape benches and
-    /// examples drive a live follower with. Blocking; call from a
+    /// exhausted or `stop` flips — the timer shape examples drive a
+    /// live follower with. Blocking; call from a
     /// scoped thread. Returns the days appended.
     pub fn run_timer(&mut self, interval: Duration, stop: &AtomicBool) -> io::Result<usize> {
         let mut days = 0;

@@ -48,7 +48,8 @@ pub struct ServerMetrics {
     pub read_timeouts: Counter,
     /// Connections dropped because the request did not parse.
     pub malformed_requests: Counter,
-    /// Request wall-clock latency (microseconds, log-scale buckets).
+    /// Request latency through route, excluding the socket write
+    /// (microseconds, log-scale buckets).
     pub request_latency: Histogram,
     /// Time spent reading and parsing the request head. On a
     /// keep-alive connection this includes the idle wait for the next
@@ -135,7 +136,7 @@ impl ServerMetrics {
             ),
             request_latency: r.histogram(
                 "moas_serve_request_duration_us",
-                "Request wall-clock latency in microseconds.",
+                "Request latency through route in microseconds (excludes the write).",
             ),
             stage_parse: r.stage_histogram("request_parse"),
             stage_route: r.stage_histogram("request_route"),

@@ -1005,6 +1005,11 @@ impl QueryService {
         events
     }
 
+    /// Records one answered request in the latency ring, the workload
+    /// sketch and (past the threshold) the slow-request journal. The
+    /// connection loop calls it before writing the response, so
+    /// `micros` is the route time only: it excludes the socket write,
+    /// which the `request_serialize` stage histogram times.
     pub(crate) fn note_request(
         &self,
         req: &Request,

@@ -296,6 +296,16 @@ fn serve_connection(
         let route_elapsed = started.elapsed();
         metrics.stage_route.observe_duration(route_elapsed);
         tracer.record_child(ctx, "request_route", route_elapsed);
+        // Recorded before the write: once the client holds the bytes,
+        // its next request (on any connection) must see this one.
+        service.note_request(
+            &req,
+            response.status,
+            response.body.len() as u64,
+            route_elapsed.as_micros() as u64,
+            ctx.trace,
+        );
+        metrics.record_status(response.status);
         let keep_alive =
             req.keep_alive && served + 1 < keep_alive_cap && !queue.stop.load(Ordering::Acquire);
         let write_started = Instant::now();
@@ -304,14 +314,6 @@ fn serve_connection(
         metrics.stage_serialize.observe_duration(write_elapsed);
         tracer.record_child(ctx, "request_serialize", write_elapsed);
         span.finish();
-        service.note_request(
-            &req,
-            response.status,
-            response.body.len() as u64,
-            started.elapsed().as_micros() as u64,
-            ctx.trace,
-        );
-        metrics.record_status(response.status);
         drop(in_flight);
         write?;
         if !keep_alive {

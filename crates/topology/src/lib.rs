@@ -16,7 +16,7 @@
 //! * **valley-free path synthesis** ([`paths`]): fast provider-chain
 //!   join paths for bulk generation, plus a reference Gao-Rexford BFS
 //!   (customer > peer > provider preference) used to validate the fast
-//!   generator and for the routing ablation bench.
+//!   generator.
 //!
 //! Everything is seeded and deterministic (`moas_net::rng::DetRng`).
 

@@ -10,8 +10,7 @@
 //! * [`gao_rexford_routes`] — a reference implementation of policy
 //!   routing: lexicographic Dijkstra over (route class, path length,
 //!   tie-break), with export filters applied per Gao-Rexford. Tests
-//!   validate `PathSynth` against it; the routing ablation bench
-//!   measures the cost gap.
+//!   validate `PathSynth` against it.
 
 use crate::graph::{Tier, Topology};
 use moas_bgp::policy::{may_export, Rel, RouteSource};
